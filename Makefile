@@ -22,20 +22,21 @@ vet:
 	$(GO) vet ./...
 
 # The crash matrix: every checkpoint algorithm × every named crash point
-# (internal/faultfs) × {serial, 4-worker} checkpoint/recovery pipelines
-# (TestCrashMatrixParallel arms the per-worker crash points), recovered
-# and checked against the committed-transaction oracle, under the race
-# detector. The -tags slow soak (TestCrashMatrixSoak) multiplies seeds
-# and workload length.
+# (internal/faultfs) × {1, 4} checkpoint/recovery workers on the one
+# batched pipeline (TestCrashMatrixParallel arms the per-worker crash
+# points), recovered and checked against the committed-transaction
+# oracle, plus the 1-vs-4-worker oracles (recovered images, backup
+# copies), under the race detector. The -tags slow soak
+# (TestCrashMatrixSoak) multiplies seeds and workload length.
+CRASHMATRIX_RUN := TestCrash|TestCommitInDoubt|TestRecoveryParallelEquivalence|TestSerialVsParallelRecoveryEquivalence|TestBackupImageEquivalence
 crashmatrix:
-	$(GO) test -race -run 'TestCrash|TestCommitInDoubt|TestRecoveryParallelEquivalence' ./internal/testbed/ ./kvstore/
+	$(GO) test -race -run '$(CRASHMATRIX_RUN)' ./internal/testbed/ ./internal/engine/ ./kvstore/
 
 # The benchmark matrix: ckptbench across all eight checkpoint algorithms
-# with an end-of-run crash, each run serially and with a 4-worker
-# checkpoint/recovery pipeline, writing the schema'd measured-vs-analytic
-# result file (commit latency quantiles, per-phase recovery times, the
-# parallel-vs-serial comparison, and the run priced against the paper's
-# model). CI uploads the file as an artifact. Tune BENCH_TXNS for a
+# with an end-of-run crash, each run with 1 and with 4 checkpoint/recovery
+# workers, writing the schema'd measured-vs-analytic result file (commit
+# latency quantiles, per-phase recovery times, the 4-vs-1-worker
+# comparison, and the run priced against the paper's model). CI uploads the file as an artifact. Tune BENCH_TXNS for a
 # longer run, BENCH_PARALLEL for other pool widths.
 BENCH_TXNS ?= 20000
 BENCH_PARALLEL ?= 1,4

@@ -12,7 +12,7 @@
 //
 //	ckptbench -alg 2CCOPY -records 65536 -txns 20000 -writers 4 -crash
 //	ckptbench -matrix -crash -json BENCH_ckpt.json   # all eight algorithms
-//	ckptbench -alg COUCOPY -parallel 1,4 -throttle -crash   # serial vs 4-worker pipeline
+//	ckptbench -alg COUCOPY -parallel 1,4 -throttle -crash   # 1- vs 4-worker pipeline
 //	ckptbench -alg COUCOPY -metrics :6060            # mmdbctl stats -addr http://localhost:6060/metrics
 //	ckptbench -shards 4 -crash -append -json BENCH_ckpt.json  # sharded, through a loopback mmdbd
 //	ckptbench -shards 4 -addr db0:7070               # against an already-running mmdbd
@@ -126,7 +126,7 @@ type BenchConfig struct {
 	ZipfS           float64 `json:"zipf_s"`
 	Seed            int64   `json:"seed"`
 	// Parallelism is the checkpoint worker-pool width and recovery
-	// worker count the run used (1 = the serial pipeline).
+	// worker count the run used (1 = one worker, the serial case).
 	Parallelism int  `json:"parallelism"`
 	Throttled   bool `json:"throttled"`
 }
@@ -408,7 +408,6 @@ func run(algName string, par int) (*BenchResult, error) {
 	var done atomic.Int64
 	var wg sync.WaitGroup
 	start := time.Now()
-	perWriter := *txns / *writers
 	for w := 0; w < *writers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -432,7 +431,7 @@ func run(algName string, par int) (*BenchResult, error) {
 					return
 				}
 			}
-			for i := 0; i < perWriter; i++ {
+			for i := writerTxns(*txns, *writers, w); i > 0; i-- {
 				if pacer != nil {
 					pacer.Wait()
 				}
@@ -608,6 +607,17 @@ func writeTrace(path string, db *mmdb.DB) error {
 }
 
 // effSegBytes resolves the segment-size default the engine applies.
+// writerTxns is writer w's share of txns transactions split across
+// writers: the first txns % writers writers run one extra, so the shares
+// sum to txns exactly.
+func writerTxns(txns, writers, w int) int {
+	n := txns / writers
+	if w < txns%writers {
+		n++
+	}
+	return n
+}
+
 func effSegBytes() int {
 	if *segBytes != 0 {
 		return *segBytes

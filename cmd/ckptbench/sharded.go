@@ -206,7 +206,6 @@ func runSharded() (*ShardedResult, error) {
 	var batches, ops atomic.Uint64
 	var wg sync.WaitGroup
 	start := time.Now()
-	perWriter := *txns / *writers
 	for w := 0; w < *writers; w++ {
 		wg.Add(1)
 		// goleak:joins wg.Wait below
@@ -224,7 +223,7 @@ func runSharded() (*ShardedResult, error) {
 				return
 			}
 			batch := make([]kvstore.Op, *updates)
-			for i := 0; i < perWriter; i++ {
+			for i := writerTxns(*txns, *writers, w); i > 0; i-- {
 				spec := gen.Next()
 				for j, u := range spec.Updates {
 					batch[j] = kvstore.Op{

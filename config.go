@@ -111,7 +111,7 @@ type Config struct {
 
 	// CheckpointParallelism is the number of concurrent segment copy/flush
 	// workers each checkpoint sweep fans out to. Zero resolves to
-	// min(GOMAXPROCS, 8); 1 runs the original serial sweeps. Each
+	// min(GOMAXPROCS, 8); 1 sweeps one segment at a time. Each
 	// algorithm's per-segment protocol is preserved — only the write-ahead
 	// LSN wait and the ping-pong metadata commit are shared barriers (see
 	// DESIGN.md §15).
@@ -119,7 +119,8 @@ type Config struct {
 
 	// RecoveryParallelism is the number of concurrent backup-load stripe
 	// readers and partitioned redo-apply workers recovery uses. Zero
-	// resolves to min(GOMAXPROCS, 8); 1 recovers serially. The recovered
+	// resolves to min(GOMAXPROCS, 8); 1 uses one loader and one redo
+	// worker. The recovered
 	// image is byte-identical at any setting.
 	RecoveryParallelism int
 

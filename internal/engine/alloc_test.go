@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -113,5 +116,76 @@ func TestTxnCommitAllocationBounded(t *testing.T) {
 	allocs := testing.AllocsPerRun(512, cycle)
 	if allocs > 4 {
 		t.Errorf("Begin/Write/Commit: %v allocs/op, want ≤ 4 (txn object, write map, image copy, map bucket)", allocs)
+	}
+}
+
+// raceEnabled is set in -race builds (race_test.go).
+var raceEnabled bool
+
+// serialCkptAllocs is what one checkpoint of the guard's database cost
+// on the separate serial sweeps that the one-worker batched sweep
+// replaced, measured with go1.24 on linux/amd64: a full checkpoint, then
+// a partial one after four single-record writes. Nearly all of it is
+// the log markers and the backup writes around the sweep.
+var serialCkptAllocs = map[Algorithm][2]float64{
+	FuzzyCopy:     {82, 54},
+	FastFuzzy:     {81, 53},
+	TwoColorFlush: {82, 54},
+	TwoColorCopy:  {83, 55},
+	COUFlush:      {81, 53},
+	COUCopy:       {82, 54},
+	Zigzag:        {81, 53},
+	Hourglass:     {81, 53},
+}
+
+// TestOneWorkerCheckpointAllocations pins the one-worker sweep's cost: a
+// checkpoint allocates no more than the serial sweeps did (checked
+// outside -race builds), and the sweep spawns no goroutine — every
+// segment hook runs with the goroutine count the checkpoint started with.
+func TestOneWorkerCheckpointAllocations(t *testing.T) {
+	for _, alg := range allAlgorithms {
+		for k, full := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%v/full=%v", alg, full), func(t *testing.T) {
+				p := testParams(t, alg)
+				p.Full = full
+				var before, hookMax atomic.Int64
+				p.SegmentHook = func(uint64, int, int) error {
+					if g := int64(runtime.NumGoroutine()); g > hookMax.Load() {
+						hookMax.Store(g)
+					}
+					return nil
+				}
+				e := mustOpen(t, p)
+				defer e.Close()
+				val := encVal(7)
+				ckpt := func() {
+					for s := uint64(0); s < 4; s++ {
+						if err := e.ExecWrite(s*8, val); err != nil {
+							t.Fatal(err)
+						}
+					}
+					before.Store(int64(runtime.NumGoroutine()))
+					hookMax.Store(0)
+					if _, err := e.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+					if hookMax.Load() != before.Load() {
+						t.Fatalf("%d goroutines inside the sweep, %d before it", hookMax.Load(), before.Load())
+					}
+				}
+				// Warm up: the first checkpoints take the lazy allocations
+				// (log tail, backup metadata) later ones reuse.
+				for i := 0; i < 8; i++ {
+					ckpt()
+				}
+				got := testing.AllocsPerRun(20, ckpt)
+				if raceEnabled {
+					return
+				}
+				if want := serialCkptAllocs[alg][k]; got > want {
+					t.Errorf("checkpoint: %v allocs, serial sweep took %v", got, want)
+				}
+			})
+		}
 	}
 }

@@ -39,10 +39,10 @@ func (e *Engine) Checkpoint() (*CheckpointResult, error) {
 }
 
 // CheckpointContext is Checkpoint with cancellation: ctx is consulted
-// between segments (serial sweeps) or between worker batches (parallel
-// sweeps), never mid-segment, so a cancelled checkpoint leaves the target
-// copy incomplete but every flushed segment image intact — exactly the
-// state a crash mid-checkpoint leaves, which recovery already handles by
+// between sweep batches (between segments with one worker), never
+// mid-segment, so a cancelled checkpoint leaves the target copy
+// incomplete but every flushed segment image intact — exactly the state
+// a crash mid-checkpoint leaves, which recovery already handles by
 // falling back to the other ping-pong copy.
 //
 // lockorder:acquires Engine.ckptMu
@@ -158,25 +158,7 @@ func (e *Engine) CheckpointContext(ctx context.Context) (*CheckpointResult, erro
 		return nil, err
 	}
 
-	var flushed, skipped int
-	var bytes int64
-	par := e.params.CheckpointParallelism
-	switch {
-	case par > 1:
-		flushed, skipped, bytes, err = e.sweepParallel(ctx, run, par)
-	case alg.Fuzzy():
-		flushed, skipped, bytes, err = e.sweepFuzzy(ctx, run)
-	case alg.TwoColor():
-		flushed, skipped, bytes, err = e.sweepTwoColor(ctx, run)
-	case alg.CopyOnUpdate():
-		flushed, skipped, bytes, err = e.sweepCOU(ctx, run)
-	case alg == Zigzag:
-		flushed, skipped, bytes, err = e.sweepZigzag(ctx, run)
-	case alg == Hourglass:
-		flushed, skipped, bytes, err = e.sweepHourglass(ctx, run)
-	default:
-		err = fmt.Errorf("engine: unknown algorithm %v", alg)
-	}
+	flushed, skipped, bytes, err := e.sweeper.sweep(ctx, run)
 
 	e.cur.Store(nil)
 	e.endRunCleanup(alg)
@@ -283,8 +265,8 @@ func (e *Engine) waitLSN(lsn wal.LSN) error {
 }
 
 // segmentDone runs the fault-injection hook, if any, after a segment has
-// been processed. worker identifies the sweep worker (0 in serial sweeps)
-// so tests can arm per-worker crash points.
+// been processed. worker identifies the sweep worker (always 0 with one
+// worker) so tests can arm per-worker crash points.
 func (e *Engine) segmentDone(run *ckptRun, worker, idx int) error {
 	if e.params.SegmentHook == nil {
 		return nil
@@ -339,7 +321,7 @@ func (e *Engine) endRunCleanup(alg Algorithm) {
 
 // dropOldCopies releases any copy-on-update old versions left attached to
 // segments (created in the race window just behind the checkpointer's
-// cursor; see sweepCOU).
+// cursor; see cou.go).
 //
 // lockorder:held Engine.ckptMu
 func (e *Engine) dropOldCopies() {

@@ -1,16 +1,14 @@
 package engine
 
-import "context"
-
-// sweepCOU implements the copy-on-update checkpoints of Section 3.2.2
-// (Figure 3.3, after DeWitt et al.).
+// The copy-on-update checkpoints of Section 3.2.2 (Figure 3.3, after
+// DeWitt et al.).
 //
 // Checkpoint begin has already quiesced the system, stamped the checkpoint
 // τ(CH), logged the begin-checkpoint record and flushed the log tail (see
-// Engine.Checkpoint). The transaction-consistent state at that instant is
-// the snapshot this sweep writes out. Transactions updating a
+// Engine.CheckpointContext). The transaction-consistent state at that
+// instant is the snapshot the sweep writes out. Transactions updating a
 // not-yet-dumped segment first preserve its old version (Txn.install), so
-// the sweep flushes, for each segment in order:
+// the sweep flushes, for each segment:
 //
 //   - the old copy, if one exists (the segment was updated after the
 //     checkpoint began), or
@@ -25,74 +23,72 @@ import "context"
 // No LSN checks are needed: every update in the snapshot predates the
 // begin-checkpoint record, whose log-tail flush made it durable.
 //
-// lockorder:held Engine.ckptMu
-// walorder:stable-tail every snapshotted update predates the begin-checkpoint record, whose log-tail flush (Engine.Checkpoint) already made it durable
-func (e *Engine) sweepCOU(ctx context.Context, run *ckptRun) (flushed, skipped int, bytes int64, err error) {
-	n := e.store.NumSegments()
-	copyMode := e.params.Algorithm == COUCopy
-	segBytes := e.store.Config().SegmentBytes
-	var buf []byte
-	if copyMode {
-		buf = make([]byte, segBytes)
-	}
+// The cursor run.curSeg tells updaters which segments are already
+// secured: those at or below it skip old-version preservation. It may
+// only pass segments that are all secured, so it advances once a batch
+// has joined (advanceCursor). A batch of one segment is secured in index
+// order, so its worker advances the cursor itself, before the segment
+// hook, exactly as a serial checkpointer does. Updaters of batch segments
+// already secured but not yet behind the cursor take spurious old copies;
+// those sit in the race window just behind the cursor and are released by
+// dropOldCopies at the end of the checkpoint.
 
-	for i := 0; i < n; i++ {
-		if err = ctx.Err(); err != nil {
-			return flushed, skipped, bytes, err
+// couSegment secures one segment for a copy-on-update run.
+//
+// lockorder:held Engine.ckptMu
+// walorder:stable-tail every snapshotted update predates the begin-checkpoint record, whose log-tail flush (Engine.CheckpointContext) already made it durable
+func (s *sweeper) couSegment(w int, slot *ckptSlot) {
+	e, run := s.e, s.run
+	i := slot.idx
+	seg := e.store.Seg(i)
+	seg.Lock()
+	if old := seg.TakeOld(); old != nil {
+		seg.Unlock()
+		e.ctr.bumpCOULive(-1)
+		// Flush the preserved pre-checkpoint version if the segment was
+		// dirty for the target copy when it was preserved (or on a full
+		// checkpoint). The live segment's dirty bit stays set — its newer
+		// contents still owe the target copy a flush at the next
+		// checkpoint.
+		if e.params.Full || old.Dirty[run.target] {
+			if slot.err = e.flushSegment(run, i, old.Data); slot.err != nil {
+				return
+			}
+			slot.flushed = true
 		}
-		seg := e.store.Seg(i)
-		wrote := false
-		seg.Lock()
-		if old := seg.TakeOld(); old != nil {
+	} else {
+		need := e.params.Full || seg.Dirty[run.target]
+		switch {
+		case !need:
 			seg.Unlock()
-			e.ctr.bumpCOULive(-1)
-			// Flush the preserved pre-checkpoint version if the segment
-			// was dirty for the target copy when it was preserved (or on a
-			// full checkpoint). The live segment's dirty bit stays set —
-			// its newer contents still owe the target copy a flush at the
-			// next checkpoint.
-			if e.params.Full || old.Dirty[run.target] {
-				if err = e.flushSegment(run, i, old.Data); err != nil {
-					return flushed, skipped, bytes, err
-				}
-				wrote = true
+		case run.alg == COUCopy:
+			seg.Snapshot(slot.buf)
+			seg.Dirty[run.target] = false
+			seg.Unlock()
+			e.ctr.checkpointerCopy.Add(1)
+			if slot.err = e.flushSegment(run, i, slot.buf); slot.err != nil {
+				return
 			}
-		} else {
-			need := e.params.Full || seg.Dirty[run.target]
-			switch {
-			case !need:
-				seg.Unlock()
-			case copyMode:
-				seg.Snapshot(buf)
-				seg.Dirty[run.target] = false
-				seg.Unlock()
-				e.ctr.checkpointerCopy.Add(1)
-				if err = e.flushSegment(run, i, buf); err != nil {
-					return flushed, skipped, bytes, err
-				}
-				wrote = true
-			default: // COUFLUSH: write while latched
-				seg.Dirty[run.target] = false
-				err = e.flushSegment(run, i, seg.Data)
-				seg.Unlock()
-				if err != nil {
-					return flushed, skipped, bytes, err
-				}
-				wrote = true
+			slot.flushed = true
+		default: // COUFLUSH: write while latched
+			seg.Dirty[run.target] = false
+			slot.err = e.flushSegment(run, i, seg.Data)
+			seg.Unlock()
+			if slot.err != nil {
+				return
 			}
-		}
-		if wrote {
-			flushed++
-			bytes += int64(segBytes)
-		} else {
-			skipped++
-		}
-		// Advance the cursor only after the segment is secured: updaters
-		// of segments at or below curSeg skip old-version preservation.
-		run.curSeg.Store(int64(i))
-		if err = e.segmentDone(run, 0, i); err != nil {
-			return flushed, skipped, bytes, err
+			slot.flushed = true
 		}
 	}
-	return flushed, skipped, bytes, nil
+	slot.skipped = !slot.flushed
+	if s.count == 1 {
+		run.curSeg.Store(int64(i))
+	}
+	s.done(w, slot)
+}
+
+// advanceCursor moves the COU cursor past the joined batch: every segment
+// up to its last index is secured.
+func (s *sweeper) advanceCursor() {
+	s.run.curSeg.Store(int64(s.slots[s.count-1].idx))
 }

@@ -96,6 +96,9 @@ type Engine struct {
 	// hg is the hourglass window buffer pool; nil unless
 	// Params.Algorithm is Hourglass.
 	hg *hgPool
+	// sweeper holds the checkpoint sweep's reusable state; it is set in
+	// newEngine and used only by the checkpoint holding ckptMu.
+	sweeper *sweeper
 	// ckptMu serializes checkpoints (and the backup metadata). It is the
 	// outermost engine lock: every other lock nests inside it.
 	ckptMu sync.Mutex // lockorder:level=10
@@ -195,6 +198,7 @@ func newEngine(p Params, st *storage.Store, lg *wal.Log, bs backup.Store, nextCk
 	case Hourglass:
 		e.hg = newHGPool(p.HourglassWindow, p.Storage.SegmentBytes, st.NumSegments()) //nolint:lockcheck // e is not shared until newEngine returns
 	}
+	e.sweeper = newSweeper(e)
 	e.clock.Store(clock0)
 	e.txnCond = sync.NewCond(&e.txnMu)
 	eo.bind(e)

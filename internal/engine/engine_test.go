@@ -25,9 +25,9 @@ func testParams(t *testing.T, alg Algorithm) Params {
 		Storage:    testStorage(),
 		Algorithm:  alg,
 		SyncCommit: true,
-		// Pin the serial pipeline so tests that depend on the serial
-		// sweep's segment order stay deterministic on multicore hosts;
-		// parallel_test.go covers the parallel sweeps explicitly.
+		// Pin one worker so tests that depend on the sweep's segment
+		// order stay deterministic on multicore hosts; parallel_test.go
+		// covers wider pools explicitly.
 		CheckpointParallelism: 1,
 		RecoveryParallelism:   1,
 	}

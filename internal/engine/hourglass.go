@@ -27,7 +27,6 @@ package engine
 // checkpointer NEVER latches a segment while holding the pool mutex.
 
 import (
-	"context"
 	"sync"
 	"time"
 
@@ -310,111 +309,53 @@ func (e *Engine) hgProcess(run *ckptRun, idx int) (wrote, processed bool, err er
 	return err == nil, true, err
 }
 
-// hgDrain processes every segment currently on the pending list,
-// folding results into the sweep totals. Draining ahead of the in-order
-// scan is what recycles window buffers fast enough for writers.
+// hgDrain processes every segment currently on the pending list, folding
+// results into the sweep totals. The coordinator drains before every
+// batch — draining ahead of the in-order scan is what recycles window
+// buffers fast enough for writers — and once more after the last: the
+// scan painted every segment, so no old copy can appear from then on,
+// but the pending list can still name already-processed segments and
+// hgEndRun starts from an empty list. The segment hook never fires from
+// the drain, so hook hit counts stay deterministic regardless of writer
+// interleaving.
 //
 // lockorder:held Engine.ckptMu
-func (e *Engine) hgDrain(run *ckptRun, segBytes int, flushed, skipped *int, bytes *int64) error {
+func (s *sweeper) hgDrain() error {
+	segBytes := int64(s.e.store.Config().SegmentBytes)
 	for {
-		idx, ok := e.hg.popPending()
+		idx, ok := s.e.hg.popPending()
 		if !ok {
 			return nil
 		}
-		wrote, processed, err := e.hgProcess(run, idx)
+		wrote, processed, err := s.e.hgProcess(s.run, idx)
 		if err != nil {
 			return err
 		}
 		if processed {
 			if wrote {
-				*flushed++
-				*bytes += int64(segBytes)
+				s.flushed++
+				s.bytes += segBytes
 			} else {
-				*skipped++
+				s.skipped++
 			}
 		}
 	}
 }
 
-// sweepHourglass is the serial HOURGLASS sweep: drain the pending list,
-// then secure the next segment in order, repeating. The fault-injection
-// hook fires once per segment from the in-order scan only (never from
-// the drain), so hook hit counts stay deterministic regardless of writer
-// interleaving.
+// hourglassSegment is the in-order scan's step: hgProcess is idempotent
+// via the paint, so a segment the drain already secured is neither
+// flushed nor skipped again, though its hook still fires.
 //
 // lockorder:held Engine.ckptMu
-func (e *Engine) sweepHourglass(ctx context.Context, run *ckptRun) (flushed, skipped int, bytes int64, err error) {
-	n := e.store.NumSegments()
-	segBytes := e.store.Config().SegmentBytes
-	for i := 0; i < n; i++ {
-		if err = ctx.Err(); err != nil {
-			return flushed, skipped, bytes, err
-		}
-		if err = e.hgDrain(run, segBytes, &flushed, &skipped, &bytes); err != nil {
-			return flushed, skipped, bytes, err
-		}
-		wrote, processed, perr := e.hgProcess(run, i)
-		if perr != nil {
-			return flushed, skipped, bytes, perr
-		}
-		if processed {
-			if wrote {
-				flushed++
-				bytes += int64(segBytes)
-			} else {
-				skipped++
-			}
-		}
-		if err = e.segmentDone(run, 0, i); err != nil {
-			return flushed, skipped, bytes, err
-		}
+func (s *sweeper) hourglassSegment(w int, slot *ckptSlot) {
+	wrote, processed, err := s.e.hgProcess(s.run, slot.idx)
+	if err != nil {
+		slot.err = err
+		return
 	}
-	// Preservation requires Paint != run.id and the scan painted every
-	// segment, so no old copy can appear from here on. The pending list
-	// can still name already-processed segments; drain it so hgEndRun
-	// starts from an empty list.
-	err = e.hgDrain(run, segBytes, &flushed, &skipped, &bytes)
-	return flushed, skipped, bytes, err
-}
-
-// sweepHourglassParallel is the parallel HOURGLASS sweep: the
-// coordinator drains the pending list between batches, and each batch
-// fans its segments out to workers running hgProcess — idempotent via
-// the paint, so a drain/batch overlap on the same segment is harmless.
-//
-// lockorder:held Engine.ckptMu
-func (e *Engine) sweepHourglassParallel(ctx context.Context, run *ckptRun, par int) (flushed, skipped int, bytes int64, err error) {
-	n := e.store.NumSegments()
-	segBytes := e.store.Config().SegmentBytes
-	slots := make([]ckptSlot, par)
-	for base := 0; base < n; base += par {
-		if err = ctx.Err(); err != nil {
-			return flushed, skipped, bytes, err
-		}
-		if err = e.hgDrain(run, segBytes, &flushed, &skipped, &bytes); err != nil {
-			return flushed, skipped, bytes, err
-		}
-		count := min(par, n-base)
-		e.eo.ckptBatchH.Observe(uint64(count))
-		fanOut(count, func(w int) {
-			slot := &slots[w]
-			*slot = ckptSlot{idx: base + w}
-			wrote, processed, perr := e.hgProcess(run, slot.idx)
-			if perr != nil {
-				slot.err = perr
-				return
-			}
-			if processed {
-				slot.flushed = wrote
-				slot.skipped = !wrote
-			}
-			slot.err = e.segmentDone(run, w, slot.idx)
-		})
-		tally(slots, count, segBytes, &flushed, &skipped, &bytes)
-		if err = firstSlotErr(slots, count); err != nil {
-			return flushed, skipped, bytes, err
-		}
+	if processed {
+		slot.flushed = wrote
+		slot.skipped = !wrote
 	}
-	err = e.hgDrain(run, segBytes, &flushed, &skipped, &bytes)
-	return flushed, skipped, bytes, err
+	s.done(w, slot)
 }

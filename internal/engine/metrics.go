@@ -39,9 +39,9 @@ type engineObs struct {
 	attrHgStallH   *obs.Histogram // hourglass window-buffer stalls
 	attrRestartH   *obs.Histogram // work discarded by two-color restarts
 
-	// Parallel-pipeline histograms (DESIGN.md §15).
+	// Checkpoint/recovery pipeline histograms (DESIGN.md §15).
 	ckptWorkerH   *obs.Histogram // per-worker wall time inside one batch
-	ckptBatchH    *obs.Histogram // segments handed out per parallel batch
+	ckptBatchH    *obs.Histogram // segments handed out per batch
 	recApplyH     *obs.Histogram // per-worker redo-apply wall time
 	recApplyRecsH *obs.Histogram // records applied per redo worker
 
@@ -99,9 +99,9 @@ func newEngineObs(spanSample int) *engineObs {
 			"Commit attribution: transaction work discarded by a two-color restart.", obs.ScaleNanosToSeconds),
 
 		ckptWorkerH: reg.Histogram("mmdb_ckpt_worker_flush_seconds",
-			"Per-worker wall time spent processing one parallel checkpoint batch.", obs.ScaleNanosToSeconds),
+			"Per-worker wall time spent on one segment of a checkpoint batch.", obs.ScaleNanosToSeconds),
 		ckptBatchH: reg.Histogram("mmdb_ckpt_worker_batch_segments",
-			"Segments handed out per parallel checkpoint batch.", obs.ScaleNone),
+			"Segments handed out per checkpoint batch.", obs.ScaleNone),
 		recApplyH: reg.Histogram("mmdb_recovery_apply_worker_seconds",
 			"Per-worker wall time in the partitioned redo-apply phase.", obs.ScaleNanosToSeconds),
 		recApplyRecsH: reg.Histogram("mmdb_recovery_apply_records",

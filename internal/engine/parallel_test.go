@@ -1,12 +1,16 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"mmdb/internal/lockmgr"
 )
 
 // allAlgorithms is the canonical list — derived, not duplicated, so a new
@@ -168,8 +172,9 @@ func TestParallelCheckpointWithConcurrentWriters(t *testing.T) {
 }
 
 // TestSerialVsParallelRecoveryEquivalence recovers the same crashed
-// directory with the serial and the 4-way parallel pipelines and demands
-// byte-identical databases and matching replay counts.
+// directory with one worker and with four on the one recovery path
+// (striped load, partitioned redo) and demands byte-identical databases
+// and matching replay counts.
 func TestSerialVsParallelRecoveryEquivalence(t *testing.T) {
 	for _, alg := range allAlgorithms {
 		alg := alg
@@ -199,23 +204,26 @@ func TestSerialVsParallelRecoveryEquivalence(t *testing.T) {
 			ps.RecoveryParallelism = 1
 			es, repS, err := Recover(ps)
 			if err != nil {
-				t.Fatalf("serial recovery: %v", err)
+				t.Fatalf("one-worker recovery: %v", err)
 			}
 			defer es.Close()
 			ep, repP, err := Recover(p)
 			if err != nil {
-				t.Fatalf("parallel recovery: %v", err)
+				t.Fatalf("four-worker recovery: %v", err)
 			}
 			defer ep.Close()
+			if repS.Parallelism != 1 || repP.Parallelism != 4 {
+				t.Fatalf("Parallelism: got %d and %d, want 1 and 4", repS.Parallelism, repP.Parallelism)
+			}
 
 			if repS.SegmentsLoaded != repP.SegmentsLoaded {
-				t.Errorf("SegmentsLoaded: serial %d, parallel %d", repS.SegmentsLoaded, repP.SegmentsLoaded)
+				t.Errorf("SegmentsLoaded: 1 worker %d, 4 workers %d", repS.SegmentsLoaded, repP.SegmentsLoaded)
 			}
 			if repS.UpdatesApplied != repP.UpdatesApplied {
-				t.Errorf("UpdatesApplied: serial %d, parallel %d", repS.UpdatesApplied, repP.UpdatesApplied)
+				t.Errorf("UpdatesApplied: 1 worker %d, 4 workers %d", repS.UpdatesApplied, repP.UpdatesApplied)
 			}
 			if repS.UpdatesDiscarded != repP.UpdatesDiscarded {
-				t.Errorf("UpdatesDiscarded: serial %d, parallel %d", repS.UpdatesDiscarded, repP.UpdatesDiscarded)
+				t.Errorf("UpdatesDiscarded: 1 worker %d, 4 workers %d", repS.UpdatesDiscarded, repP.UpdatesDiscarded)
 			}
 			bufS := make([]byte, es.RecordBytes())
 			bufP := make([]byte, ep.RecordBytes())
@@ -227,10 +235,187 @@ func TestSerialVsParallelRecoveryEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				if decVal(bufS) != decVal(bufP) {
-					t.Errorf("record %d: serial %d, parallel %d", rid, decVal(bufS), decVal(bufP))
+					t.Errorf("record %d: 1 worker %d, 4 workers %d", rid, decVal(bufS), decVal(bufP))
 				}
 			}
 		})
+	}
+}
+
+// TestBackupImageEquivalence is the checkpoint-side oracle: the same
+// deterministic single-writer history, checkpointed quiescently with one
+// worker and with four, must leave byte-identical backup copies and the
+// same flushed/skipped counts — first for a full checkpoint, then for a
+// partial one.
+func TestBackupImageEquivalence(t *testing.T) {
+	for _, alg := range allAlgorithms {
+		alg := alg
+		t.Run(alg.String(), func(t *testing.T) {
+			var engines [2]*Engine
+			for k, par := range []int{1, 4} {
+				p := parallelParams(t, alg, par)
+				p.Full = true
+				engines[k] = mustOpen(t, p)
+				defer engines[k].Close()
+			}
+			step := func(name string, full bool, writes func(e *Engine)) *CheckpointResult {
+				t.Helper()
+				var res [2]*CheckpointResult
+				for k, e := range engines {
+					writes(e)
+					e.params.Full = full
+					r, err := e.Checkpoint()
+					if err != nil {
+						t.Fatalf("%s checkpoint: %v", name, err)
+					}
+					res[k] = r
+				}
+				if res[0].SegmentsFlushed != res[1].SegmentsFlushed || res[0].SegmentsSkipped != res[1].SegmentsSkipped {
+					t.Errorf("%s checkpoint: 1 worker flushed %d skipped %d, 4 workers flushed %d skipped %d", name,
+						res[0].SegmentsFlushed, res[0].SegmentsSkipped, res[1].SegmentsFlushed, res[1].SegmentsSkipped)
+				}
+				if res[0].TargetCopy != res[1].TargetCopy {
+					t.Fatalf("%s checkpoint: target copies %d and %d", name, res[0].TargetCopy, res[1].TargetCopy)
+				}
+				c := res[0].TargetCopy
+				segBytes := engines[0].store.Config().SegmentBytes
+				a, b := make([]byte, segBytes), make([]byte, segBytes)
+				for i := 0; i < engines[0].NumSegments(); i++ {
+					wa, err := engines[0].bstore.ReadSegment(c, i, a)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wb, err := engines[1].bstore.ReadSegment(c, i, b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if wa != wb || !bytes.Equal(a, b) {
+						t.Errorf("%s checkpoint: copy %d segment %d differs (written by %d and %d)", name, c, i, wa, wb)
+					}
+				}
+				return res[0]
+			}
+			write := func(e *Engine, rid, v uint64) {
+				if err := e.Exec(func(tx *Txn) error { return tx.Write(rid, encVal(v)) }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			step("full", true, func(e *Engine) {
+				for i := uint64(0); i < 96; i++ {
+					write(e, (i*37)%256, i+1)
+				}
+			})
+			// A new database owes both copies every segment, so the first
+			// partial checkpoint, to the copy not yet written, flushes them
+			// all; the second, back to copy 0, flushes only the segments
+			// written since the full one and skips the rest.
+			step("partial", false, func(e *Engine) {
+				for i := uint64(0); i < 24; i++ {
+					write(e, (i*11)%96, 1000+i)
+				}
+			})
+			res := step("second partial", false, func(e *Engine) {
+				for i := uint64(0); i < 8; i++ {
+					write(e, 200+i*5, 2000+i)
+				}
+			})
+			if res.SegmentsFlushed == 0 || res.SegmentsSkipped == 0 {
+				t.Errorf("second partial checkpoint flushed %d and skipped %d segments, want both > 0",
+					res.SegmentsFlushed, res.SegmentsSkipped)
+			}
+		})
+	}
+}
+
+// TestCOUCursorBeforeHook pins the copy-on-update cursor order of a
+// one-worker sweep: a segment is behind the cursor by the time its
+// segment hook runs, as with a serial checkpointer.
+func TestCOUCursorBeforeHook(t *testing.T) {
+	for _, alg := range []Algorithm{COUFlush, COUCopy} {
+		alg := alg
+		t.Run(alg.String(), func(t *testing.T) {
+			p := testParams(t, alg)
+			p.Full = true
+			var e *Engine
+			var hooks atomic.Int64
+			p.SegmentHook = func(_ uint64, _, idx int) error {
+				hooks.Add(1)
+				if cur := e.cur.Load().curSeg.Load(); cur != int64(idx) {
+					t.Errorf("segment %d hook ran with the cursor at %d", idx, cur)
+				}
+				return nil
+			}
+			e = mustOpen(t, p)
+			defer e.Close()
+			if _, err := e.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if n := hooks.Load(); n != int64(e.NumSegments()) {
+				t.Fatalf("%d segment hooks, want %d", n, e.NumSegments())
+			}
+		})
+	}
+}
+
+// TestTwoColorPicksFreeSegment checks Pu's selection rule (Figure 3.1):
+// the two-color checkpointer takes white segments that are not locked
+// and blocks only when every remaining white segment is. A writer holds
+// segment 0, so segment 1 must be flushed before it.
+func TestTwoColorPicksFreeSegment(t *testing.T) {
+	for _, alg := range []Algorithm{TwoColorFlush, TwoColorCopy} {
+		for _, par := range []int{1, 4} {
+			alg, par := alg, par
+			t.Run(fmt.Sprintf("%v/par%d", alg, par), func(t *testing.T) {
+				p := parallelParams(t, alg, par)
+				var mu sync.Mutex
+				var order []int
+				flushed1 := make(chan struct{})
+				p.SegmentHook = func(_ uint64, _, idx int) error {
+					mu.Lock()
+					order = append(order, idx)
+					mu.Unlock()
+					if idx == 1 {
+						close(flushed1)
+					}
+					return nil
+				}
+				e := mustOpen(t, p)
+				defer e.Close()
+				// Records 0 and 8 dirty segments 0 and 1 (8 records each).
+				for _, rid := range []uint64{0, 8} {
+					if err := e.ExecWrite(rid, encVal(rid+1)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				const writer = 1 << 40 // an owner no transaction uses
+				if err := e.locks.Lock(writer, segKey(0), lockmgr.IX, 0); err != nil {
+					t.Fatal(err)
+				}
+				ckptErr := make(chan error, 1)
+				go func() {
+					_, err := e.Checkpoint()
+					ckptErr <- err
+				}()
+				select {
+				case <-flushed1:
+				case err := <-ckptErr:
+					t.Fatalf("checkpoint finished (%v) while segment 0 was locked", err)
+				case <-time.After(5 * time.Second):
+					t.Fatal("segment 1 was never flushed while segment 0 was locked")
+				}
+				e.locks.Unlock(writer, segKey(0))
+				if err := <-ckptErr; err != nil {
+					t.Fatal(err)
+				}
+				pos := map[int]int{}
+				for k, idx := range order {
+					pos[idx] = k
+				}
+				if pos[1] > pos[0] || pos[0] != len(order)-1 {
+					t.Errorf("segment order %v: want segment 1 before segment 0, and 0 last", order)
+				}
+			})
+		}
 	}
 }
 

@@ -129,15 +129,16 @@ type Params struct {
 
 	// CheckpointParallelism is the number of concurrent segment copy/flush
 	// workers a checkpoint sweep fans out to. Zero resolves to
-	// min(GOMAXPROCS, 8); 1 runs the original serial sweeps. The
-	// per-segment protocol of each algorithm is preserved; only the
-	// write-ahead LSN wait and the ping-pong metadata commit are shared
-	// barriers (see DESIGN.md §15).
+	// min(GOMAXPROCS, 8); 1 runs every batch of the one sweep inline,
+	// one segment at a time. The per-segment protocol of each algorithm
+	// is preserved; only the write-ahead LSN wait and the ping-pong
+	// metadata commit are shared barriers (see DESIGN.md §15).
 	CheckpointParallelism int
 
 	// RecoveryParallelism is the number of concurrent backup-load stripe
 	// readers and partitioned redo-apply workers recovery uses. Zero
-	// resolves to min(GOMAXPROCS, 8); 1 recovers serially. Recovered
+	// resolves to min(GOMAXPROCS, 8); 1 loads one stripe and applies redo
+	// in one worker. Recovered
 	// images are byte-identical at any setting: stripes load disjoint
 	// segments and redo records are routed by segment range, so per-record
 	// log order is preserved where it matters.
@@ -153,7 +154,7 @@ type Params struct {
 	// SegmentHook, if set, runs after the checkpointer finishes each
 	// segment; returning an error aborts the checkpoint with that error.
 	// worker is the index of the sweep worker that processed the segment
-	// (always 0 in serial sweeps). It exists for fault injection in tests
+	// (always 0 with one worker). It exists for fault injection in tests
 	// (e.g., crashing mid-checkpoint to exercise ping-pong recovery).
 	SegmentHook func(checkpointID uint64, worker, segIdx int) error
 

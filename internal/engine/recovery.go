@@ -136,30 +136,15 @@ func RecoverContext(ctx context.Context, p Params) (*Engine, *RecoveryReport, er
 		return nil, nil, err
 	}
 
-	// Load the backup copy into primary memory: striped across
-	// RecoveryParallelism concurrent readers (serially below 2).
+	// Load the backup copy into primary memory, striped across
+	// RecoveryParallelism concurrent readers.
 	par := p.RecoveryParallelism
 	rep.Parallelism = par
 	loadSpan := eo.spans.Begin(obs.SpanRecBackupLoad, recSpan, uint64(copyIdx), 0)
 	phaseBegan := time.Now()
 	writtenBy := make([]uint64, st.NumSegments())
 	if rep.UsedCheckpoint {
-		if par > 1 {
-			err = loadBackupStriped(ctx, bs, st, copyIdx, par, p.Storage.SegmentBytes, writtenBy, rep)
-		} else {
-			err = bs.ReadAll(copyIdx, func(idx int, wb uint64, data []byte) error {
-				if cerr := ctx.Err(); cerr != nil {
-					return cerr
-				}
-				writtenBy[idx] = wb
-				if wb == 0 {
-					return nil
-				}
-				rep.SegmentsLoaded++
-				rep.BackupBytesRead += int64(len(data))
-				return st.LoadSegment(idx, data)
-			})
-		}
+		err = loadBackupStriped(ctx, bs, st, copyIdx, par, p.Storage.SegmentBytes, writtenBy, rep)
 		if err != nil {
 			return nil, nil, fmt.Errorf("engine: recovery: load backup copy %d: %w", copyIdx, err)
 		}
@@ -266,36 +251,8 @@ func RecoverContext(ctx context.Context, p Params) (*Engine, *RecoveryReport, er
 
 	touched := make([]bool, st.NumSegments())
 	truncateAt := reader.FileOffset(validEnd)
-	if par > 1 {
-		err = applyRedoPartitioned(ctx, reader, st, ops, committed, par,
-			p.Storage.RecordBytes, touched, rep, eo)
-	} else {
-		recBuf := make([]byte, p.Storage.RecordBytes)
-		err = reader.Scan(rep.ScanStartLSN, func(e wal.Entry) error {
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-			switch e.Rec.Type {
-			case wal.TypeUpdate, wal.TypeLogicalUpdate:
-				if !committed[e.Rec.TxnID] {
-					rep.UpdatesDiscarded++
-					return nil
-				}
-				logical, aerr := applyRedoRecord(st, ops, e.Rec, recBuf)
-				if aerr != nil {
-					return aerr
-				}
-				if logical {
-					rep.LogicalReplayed++
-				}
-			default:
-				return nil
-			}
-			touched[st.SegmentIndexOf(e.Rec.RecordID)] = true
-			rep.UpdatesApplied++
-			return nil
-		})
-	}
+	err = applyRedoPartitioned(ctx, reader, st, ops, committed, par,
+		p.Storage.RecordBytes, touched, rep, eo)
 	cerr := reader.Close()
 	if err != nil {
 		return nil, nil, errors.Join(fmt.Errorf("engine: recovery: redo: %w", err), cerr)
@@ -404,7 +361,8 @@ func applyRedoRecord(st *storage.Store, ops map[OpCode]OpFunc, rec *wal.Record, 
 // loadBackupStriped reads the backup copy with one reader goroutine per
 // contiguous segment stripe (DESIGN.md §15). Stripes are disjoint, each
 // reader owns its buffer, and LoadSegment targets distinct segments, so
-// the loaded image is byte-identical to the serial ReadAll path.
+// the loaded image is byte-identical at any stripe count. One stripe
+// reads on the calling goroutine (fanOut).
 func loadBackupStriped(ctx context.Context, bs backup.Store, st *storage.Store, copyIdx, par, segBytes int, writtenBy []uint64, rep *RecoveryReport) error {
 	n := st.NumSegments()
 	stripes := min(par, n)
@@ -453,12 +411,12 @@ func loadBackupStriped(ctx context.Context, bs backup.Store, st *storage.Store, 
 	return nil
 }
 
-// applyRedoPartitioned is the parallel redo phase (DESIGN.md §15): the log
-// is scanned exactly once by this goroutine, which filters for committed
+// applyRedoPartitioned is the redo phase (DESIGN.md §15): the log is
+// scanned exactly once by this goroutine, which filters for committed
 // updates and routes each to a worker chosen by segment range. All
 // records of one segment reach the same worker in log order, so
 // last-in-log-wins per record is preserved and the applied image is
-// byte-identical to the serial scan. Workers that hit an error keep
+// byte-identical at any worker count. Workers that hit an error keep
 // draining their channel (recording only the first), so the scanner never
 // blocks on a full channel of a dead worker.
 func applyRedoPartitioned(ctx context.Context, reader *wal.Reader, st *storage.Store, ops map[OpCode]OpFunc,

@@ -1,149 +1,108 @@
 package engine
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
 	"mmdb/internal/lockmgr"
-	"mmdb/internal/wal"
 )
 
-// sweepTwoColor implements the black/white locking checkpoints of Section
-// 3.2.1 (after Pu's on-the-fly consistent reading algorithm, Figure 3.1).
+// The black/white locking checkpoints of Section 3.2.1 (after Pu's
+// on-the-fly consistent reading algorithm, Figure 3.1).
 //
 // Every segment starts white; the checkpointer repeatedly picks a white
-// segment that is not exclusively locked (falling back to a blocking wait
-// when all remaining white segments are held by writers), locks it in
-// shared mode, processes it, paints it black, and unlocks it. The shared
-// segment lock conflicts with the intention-exclusive locks writers hold,
-// so a processed segment contains no uncommitted data, and the two-color
-// abort rule in the transaction path serializes transactions entirely
-// before or after the checkpoint.
+// segment that is not exclusively locked, locks it in shared mode,
+// processes it, paints it black, and unlocks it. It blocks only when all
+// remaining white segments are held by writers. The shared segment lock
+// conflicts with the intention-exclusive locks writers hold, so a
+// processed segment contains no uncommitted data, and the two-color abort
+// rule in the transaction path serializes transactions entirely before or
+// after the checkpoint.
 //
 // 2CFLUSH holds the segment lock across the LSN wait and the disk write;
 // 2CCOPY copies the segment to a buffer under the lock, releases the lock,
 // and flushes the buffer afterwards — trading data movement for shorter
 // lock hold times.
+
+// formWhite forms the next two-color batch by Pu's selection rule. It
+// passes over the white segments in index order and claims each one whose
+// S lock it gets without waiting (TryLock), until the batch is full;
+// segments a writer holds stay white for the next pass. Only when a whole
+// pass finds nothing free does it block, on the first remaining white
+// segment: "request read (shared) lock on any white segment and wait."
+// It then holds no other checkpointer lock, since the batch is empty, so
+// the blocking wait can never close a waits-for cycle through a segment
+// the checkpointer already holds.
 //
 // lockorder:held Engine.ckptMu
-func (e *Engine) sweepTwoColor(ctx context.Context, run *ckptRun) (flushed, skipped int, bytes int64, err error) {
-	n := e.store.NumSegments()
-	copyMode := e.params.Algorithm == TwoColorCopy
-	var buf []byte
-	if copyMode {
-		buf = make([]byte, e.store.Config().SegmentBytes)
-	}
-
-	// handle processes one white segment; the caller must have acquired
-	// the checkpointer's shared lock on it. handle releases the lock at
-	// the algorithm's prescribed point.
-	// lockorder:held Engine.ckptMu
-	// lockorder:held mmdb/internal/lockmgr.Manager.table
-	handle := func(i int) error {
-		seg := e.store.Seg(i)
-		if copyMode {
-			seg.Lock()
-			need := e.params.Full || seg.Dirty[run.target]
-			var lsn wal.LSN
-			if need {
-				lsn = seg.Snapshot(buf)
-				seg.Dirty[run.target] = false
-				e.ctr.checkpointerCopy.Add(1)
-			}
-			seg.Paint = run.id // paint black
-			seg.Unlock()
-			// "The segment can be unlocked as soon as it is copied."
-			e.locks.Unlock(checkpointerOwner, segKey(i))
-			if !need {
-				skipped++
-				return nil
-			}
-			if werr := e.waitLSN(lsn); werr != nil {
-				return werr
-			}
-			if ferr := e.flushSegment(run, i, buf); ferr != nil {
-				return ferr
-			}
-		} else {
-			seg.Lock()
-			need := e.params.Full || seg.Dirty[run.target]
-			lsn := seg.LastLSN
-			if need {
-				seg.Dirty[run.target] = false
-			}
-			seg.Paint = run.id
-			seg.Unlock()
-			if !need {
-				e.locks.Unlock(checkpointerOwner, segKey(i))
-				skipped++
-				return nil
-			}
-			// "2CFLUSH requires that segments be locked for the duration
-			// of a disk I/O operation, plus any delay needed to satisfy
-			// the LSN condition." The shared lock excludes writers, so the
-			// live image is stable during the write.
-			if werr := e.waitLSN(lsn); werr != nil {
-				e.locks.Unlock(checkpointerOwner, segKey(i))
-				return werr
-			}
-			ferr := e.flushSegment(run, i, seg.Data) //nolint:lockcheck // stable: the lock-manager S lock excludes writers (see comment above)
-			e.locks.Unlock(checkpointerOwner, segKey(i))
-			if ferr != nil {
-				return ferr
-			}
-		}
-		flushed++
-		bytes += int64(e.store.Config().SegmentBytes)
-		return nil
-	}
-
-	white := make([]int, n)
-	for i := range white {
-		white[i] = i
-	}
-	for len(white) > 0 {
-		if err = ctx.Err(); err != nil {
-			return flushed, skipped, bytes, err
-		}
-		// Opportunistic pass: process every white segment whose lock is
-		// free right now.
-		remaining := white[:0]
-		for _, i := range white {
-			if err = ctx.Err(); err != nil {
-				return flushed, skipped, bytes, err
-			}
-			if e.locks.TryLock(checkpointerOwner, segKey(i), lockmgr.S) {
-				if err = handle(i); err != nil {
-					return flushed, skipped, bytes, err
-				}
-				if err = e.segmentDone(run, 0, i); err != nil {
-					return flushed, skipped, bytes, err
-				}
+// lockorder:acquires mmdb/internal/lockmgr.Manager.table
+func (s *sweeper) formWhite() (int, error) {
+	locks := s.e.locks
+	count := 0
+	for count < len(s.slots) {
+		if s.pos < len(s.white) {
+			i := s.white[s.pos]
+			s.pos++
+			if locks.TryLock(checkpointerOwner, segKey(i), lockmgr.S) {
+				s.claim(count, i, true)
+				count++
 			} else {
-				remaining = append(remaining, i)
+				s.white[s.kept] = i
+				s.kept++
 			}
+			continue
 		}
-		white = remaining
-		if len(white) == 0 {
+		// End of a pass: process what it found before waiting on anything.
+		if count > 0 {
 			break
 		}
-		// Every remaining white segment is locked by a writer: "request
-		// read (shared) lock on any white segment and wait."
-		i := white[0]
-		if lerr := e.locks.Lock(checkpointerOwner, segKey(i), lockmgr.S, 0); lerr != nil {
-			if errors.Is(lerr, lockmgr.ErrShutdown) {
-				return flushed, skipped, bytes, ErrStopped
+		s.white, s.pos, s.kept = s.white[:s.kept], 0, 0
+		if len(s.white) == 0 {
+			break // every segment is black
+		}
+		i := s.white[0]
+		if err := locks.Lock(checkpointerOwner, segKey(i), lockmgr.S, 0); err != nil {
+			if errors.Is(err, lockmgr.ErrShutdown) {
+				return 0, ErrStopped
 			}
-			return flushed, skipped, bytes, fmt.Errorf("engine: two-color wait on segment %d: %w", i, lerr)
+			return 0, fmt.Errorf("engine: two-color wait on segment %d: %w", i, err)
 		}
-		if err = handle(i); err != nil {
-			return flushed, skipped, bytes, err
-		}
-		if err = e.segmentDone(run, 0, i); err != nil {
-			return flushed, skipped, bytes, err
-		}
-		white = white[1:]
+		s.white = s.white[1:]
+		s.claim(0, i, true)
+		count = 1
 	}
-	return flushed, skipped, bytes, nil
+	return count, nil
+}
+
+// twoColorSegment is the two-color phase A: with the S lock formWhite
+// took, latch the segment, decide whether it owes the target a flush,
+// snapshot it (2CCOPY) or note its last LSN (2CFLUSH), and paint it
+// black. 2CCOPY releases the lock here — "the segment can be unlocked as
+// soon as it is copied" — as does any clean segment; 2CFLUSH keeps it
+// across the barrier and the disk write (flushPrepared).
+//
+// lockorder:held Engine.ckptMu
+// lockorder:held mmdb/internal/lockmgr.Manager.table
+func (s *sweeper) twoColorSegment(slot *ckptSlot) {
+	e, run := s.e, s.run
+	i := slot.idx
+	copyMode := run.alg == TwoColorCopy
+	seg := e.store.Seg(i)
+	seg.Lock()
+	slot.need = e.params.Full || seg.Dirty[run.target]
+	if slot.need {
+		if copyMode {
+			slot.lsn = seg.Snapshot(slot.buf)
+			e.ctr.checkpointerCopy.Add(1)
+		} else {
+			slot.lsn = seg.LastLSN
+		}
+		seg.Dirty[run.target] = false
+	}
+	seg.Paint = run.id // paint black
+	seg.Unlock()
+	if copyMode || !slot.need {
+		e.locks.Unlock(checkpointerOwner, segKey(i))
+		slot.locked = false
+	}
 }

@@ -33,12 +33,7 @@ package engine
 // but the writer-side cost is a segment copy into a preallocated slab —
 // no per-update allocation at all.
 
-import (
-	"context"
-	"time"
-
-	"mmdb/internal/storage"
-)
+import "mmdb/internal/storage"
 
 // zigzagArm sets the two zigzag bits on every segment for a new run.
 // Called from CheckpointContext with the transaction gate still closed
@@ -57,39 +52,30 @@ func (e *Engine) zigzagArm(run *ckptRun) {
 	}
 }
 
-// sweepZigzag is the serial ZIGZAG sweep: capture the begin-state image
-// pointer under a brief latch, flush it unlatched.
+// zigzagSegment secures one segment for a ZIGZAG run: capture the
+// begin-state image pointer under a brief latch, flush it unlatched.
+// Single-phase like FASTFUZZY — no barrier, because no worker ever waits
+// on the log.
 //
 // No LSN checks are needed: every update in a captured image predates
 // the begin-checkpoint record, whose log-tail flush made it durable.
 //
 // lockorder:held Engine.ckptMu
 // walorder:stable-tail every captured zigzag image predates the begin-checkpoint record, whose log-tail flush (Engine.CheckpointContext) already made it durable
-func (e *Engine) sweepZigzag(ctx context.Context, run *ckptRun) (flushed, skipped int, bytes int64, err error) {
-	n := e.store.NumSegments()
-	segBytes := e.store.Config().SegmentBytes
-	for i := 0; i < n; i++ {
-		if err = ctx.Err(); err != nil {
-			return flushed, skipped, bytes, err
+func (s *sweeper) zigzagSegment(w int, slot *ckptSlot) {
+	seg := s.e.store.Seg(slot.idx)
+	seg.Lock()
+	data, need := s.e.zigzagCapture(seg, s.run)
+	seg.Unlock()
+	if need {
+		if slot.err = s.e.flushSegment(s.run, slot.idx, data); slot.err != nil {
+			return
 		}
-		seg := e.store.Seg(i)
-		seg.Lock()
-		data, need := e.zigzagCapture(seg, run)
-		seg.Unlock()
-		if !need {
-			skipped++
-		} else {
-			if err = e.flushSegment(run, i, data); err != nil {
-				return flushed, skipped, bytes, err
-			}
-			flushed++
-			bytes += int64(segBytes)
-		}
-		if err = e.segmentDone(run, 0, i); err != nil {
-			return flushed, skipped, bytes, err
-		}
+		slot.flushed = true
+	} else {
+		slot.skipped = true
 	}
-	return flushed, skipped, bytes, nil
+	s.done(w, slot)
 }
 
 // zigzagCapture reads and consumes the segment's zigzag bits for this
@@ -111,46 +97,4 @@ func (e *Engine) zigzagCapture(seg *storage.Segment, run *ckptRun) (data []byte,
 		return seg.Data, true
 	}
 	return seg.Shadow, true
-}
-
-// sweepZigzagParallel is the parallel ZIGZAG sweep: single-phase like
-// FASTFUZZY — no barrier, because no worker ever waits on the log — but
-// with the capture-then-flush-unlatched protocol of the serial sweep.
-//
-// lockorder:held Engine.ckptMu
-// walorder:stable-tail every captured zigzag image predates the begin-checkpoint record, whose log-tail flush (Engine.CheckpointContext) already made it durable
-func (e *Engine) sweepZigzagParallel(ctx context.Context, run *ckptRun, par int) (flushed, skipped int, bytes int64, err error) {
-	n := e.store.NumSegments()
-	segBytes := e.store.Config().SegmentBytes
-	slots := make([]ckptSlot, par)
-	for base := 0; base < n; base += par {
-		if err = ctx.Err(); err != nil {
-			return flushed, skipped, bytes, err
-		}
-		count := min(par, n-base)
-		e.eo.ckptBatchH.Observe(uint64(count))
-		fanOut(count, func(w int) {
-			slot := &slots[w]
-			*slot = ckptSlot{idx: base + w, began: time.Now()}
-			seg := e.store.Seg(slot.idx)
-			seg.Lock()
-			data, need := e.zigzagCapture(seg, run)
-			seg.Unlock()
-			if !need {
-				slot.skipped = true
-			} else {
-				if slot.err = e.flushSegment(run, slot.idx, data); slot.err != nil {
-					return
-				}
-				slot.flushed = true
-			}
-			slot.err = e.segmentDone(run, w, slot.idx)
-			e.eo.ckptWorkerH.ObserveSince(slot.began)
-		})
-		tally(slots, count, segBytes, &flushed, &skipped, &bytes)
-		if err = firstSlotErr(slots, count); err != nil {
-			return flushed, skipped, bytes, err
-		}
-	}
-	return flushed, skipped, bytes, nil
 }

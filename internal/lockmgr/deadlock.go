@@ -6,7 +6,7 @@ import "errors"
 // resolution mechanism; the detector below catches most deadlocks
 // instantly, at the moment the closing edge of a waits-for cycle would be
 // created. When a lock request must wait, the manager records a
-// waits-for edge (requester → key) and walks the graph: requester waits
+// waits-for edge (requester → key, with the queued waiter) and walks the graph: requester waits
 // for the holders of its key, each of which may itself be waiting for the
 // holders of another key, and so on. If the walk returns to the
 // requester, granting the wait can never make progress and the request
@@ -23,83 +23,88 @@ import "errors"
 // cycle. The requester must abort (its locks are part of the cycle).
 var ErrDeadlockDetected = errors.New("lockmgr: deadlock detected (waits-for cycle)")
 
-// noteWaiting registers that owner is about to wait for key, then checks
-// for a waits-for cycle through owner. It returns ErrDeadlockDetected if
-// granting could never happen; the caller must then not enqueue. On nil,
-// the caller enqueues and must call clearWaiting when the wait ends.
+// waitEdge is one owner's waits-for edge: the key it waits for and the
+// queued waiter of that wait. An owner can be granted, release and queue
+// again between the detector's snapshot and its walk, so only an edge
+// whose very waiter is still queued describes a live wait.
+type waitEdge struct {
+	key uint64
+	w   *waiter
+}
+
+// noteWaiting registers that owner's waiter w is about to wait for key,
+// then checks for a waits-for cycle through owner. It returns
+// ErrDeadlockDetected if granting could never happen; the caller must
+// then not enqueue. On nil, the caller enqueues and must call
+// clearWaiting when the wait ends.
 //
 // lockorder:acquires Manager.waitMu
 // lockorder:releases Manager.waitMu
-func (m *Manager) noteWaiting(owner, key uint64) error {
+func (m *Manager) noteWaiting(owner, key uint64, w *waiter) error {
 	m.waitMu.Lock()
-	m.waitingFor[owner] = key
+	m.waitingFor[owner] = waitEdge{key: key, w: w}
 	m.waitMu.Unlock()
 
 	if m.cycleFrom(owner) {
-		m.clearWaiting(owner)
+		m.clearWaiting(owner, w)
 		m.deadlocks.Add(1)
 		return ErrDeadlockDetected
 	}
 	return nil
 }
 
-// clearWaiting removes owner's waits-for edge.
+// clearWaiting removes owner's waits-for edge if it still belongs to
+// waiter w.
 //
 // lockorder:acquires Manager.waitMu
 // lockorder:releases Manager.waitMu
-func (m *Manager) clearWaiting(owner uint64) {
+func (m *Manager) clearWaiting(owner uint64, w *waiter) {
 	m.waitMu.Lock()
-	delete(m.waitingFor, owner)
+	if m.waitingFor[owner].w == w {
+		delete(m.waitingFor, owner)
+	}
 	m.waitMu.Unlock()
 }
 
-// blockersOf returns the owners that currently prevent owner from
-// acquiring key: incompatible holders, plus incompatible queued waiters
-// ahead of it (FIFO order means they block too).
+// blockersOf returns the owners that currently prevent the wait of edge
+// from being granted: incompatible holders, plus incompatible queued
+// waiters ahead of it (FIFO order means they block too).
 //
 // alloc:allowed(deadlock detection runs only when a lock wait begins — already off the uncontended fast path)
-func (m *Manager) blockersOf(owner, key uint64) []uint64 {
-	sh := m.shardOf(key)
+func (m *Manager) blockersOf(owner uint64, edge waitEdge) []uint64 {
+	sh := m.shardOf(edge.key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	ls := sh.locks[key]
+	ls := sh.locks[edge.key]
 	if ls == nil {
 		return nil
 	}
-	w := m.waitModeLocked(ls, owner)
-	if w == nil {
-		// The owner is no longer queued on this key (granted or timed out
-		// between the waits-for snapshot and this read): the edge is
-		// stale, so it blocks on nothing.
+	pos := -1
+	for i, q := range ls.queue {
+		if q == edge.w {
+			pos = i
+			break
+		}
+	}
+	if pos < 0 {
+		// The waiter is no longer queued (granted or timed out between
+		// the waits-for snapshot and this read): the edge is stale, so it
+		// blocks on nothing — even if owner has since queued again.
 		return nil
 	}
-	mode := w.mode
+	mode := edge.w.mode
 	var out []uint64
 	for h, hm := range ls.holders {
 		if h != owner && !compatible[hm][mode] {
 			out = append(out, h)
 		}
 	}
-	for _, q := range ls.queue {
-		if q.owner == owner {
-			break
-		}
+	for _, q := range ls.queue[:pos] {
 		if !compatible[q.mode][mode] {
 			out = append(out, q.owner)
 		}
 	}
 	return out
-}
-
-// waitModeLocked finds owner's queued waiter on ls, if any. Caller holds
-// the shard mutex.
-func (m *Manager) waitModeLocked(ls *lockState, owner uint64) *waiter {
-	for _, w := range ls.queue {
-		if w.owner == owner {
-			return w
-		}
-	}
-	return nil
 }
 
 // cycleFrom reports whether the waits-for graph contains a cycle through
@@ -110,20 +115,20 @@ func (m *Manager) cycleFrom(start uint64) bool {
 	// Snapshot the wait edges once; holder sets are read per key during
 	// the walk.
 	m.waitMu.Lock()
-	waits := make(map[uint64]uint64, len(m.waitingFor))
-	for o, k := range m.waitingFor {
-		waits[o] = k
+	waits := make(map[uint64]waitEdge, len(m.waitingFor))
+	for o, edge := range m.waitingFor {
+		waits[o] = edge
 	}
 	m.waitMu.Unlock()
 
 	visited := make(map[uint64]bool)
 	var walk func(owner uint64) bool
 	walk = func(owner uint64) bool {
-		key, waiting := waits[owner]
+		edge, waiting := waits[owner]
 		if !waiting {
 			return false
 		}
-		for _, blocker := range m.blockersOf(owner, key) {
+		for _, blocker := range m.blockersOf(owner, edge) {
 			if blocker == start {
 				return true
 			}

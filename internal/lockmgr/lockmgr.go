@@ -221,8 +221,8 @@ type Manager struct {
 
 	waitMu sync.Mutex // lockorder:level=70
 	// waitingFor is the waits-for registry for deadlock detection,
-	// mapping owner → key it waits for. guarded_by:waitMu
-	waitingFor map[uint64]uint64
+	// mapping owner → the key and waiter of its wait. guarded_by:waitMu
+	waitingFor map[uint64]waitEdge
 
 	// waitH, when set, records wait time (enqueue to grant, timeout, or
 	// deadlock refusal). txnWaitH, when set, additionally records waits
@@ -246,7 +246,7 @@ func (m *Manager) SetMetrics(waitSeconds, txnWaitSeconds *obs.Histogram) {
 
 // New returns an empty lock manager.
 func New() *Manager {
-	m := &Manager{waitingFor: make(map[uint64]uint64)}
+	m := &Manager{waitingFor: make(map[uint64]waitEdge)}
 	for i := range m.shards {
 		m.shards[i].locks = make(map[uint64]*lockState)         //nolint:lockcheck // not shared until New returns
 		m.shards[i].holdings = make(map[uint64]map[uint64]Mode) //nolint:lockcheck // not shared until New returns
@@ -335,7 +335,7 @@ func (m *Manager) Lock(owner, key uint64, mode Mode, timeout time.Duration) erro
 
 	// The wait is registered in the waits-for graph; if it closes a
 	// cycle, fail now instead of stalling until the timeout.
-	if derr := m.noteWaiting(owner, key); derr != nil {
+	if derr := m.noteWaiting(owner, key, w); derr != nil {
 		if m.dequeue(sh, key, ls, w) {
 			return derr
 		}
@@ -346,7 +346,7 @@ func (m *Manager) Lock(owner, key uint64, mode Mode, timeout time.Duration) erro
 		m.acquires.Add(1)
 		return nil
 	}
-	defer m.clearWaiting(owner)
+	defer m.clearWaiting(owner, w)
 
 	var timer *time.Timer
 	var timeoutC <-chan time.Time
@@ -487,7 +487,7 @@ func (m *Manager) grantLocked(sh *shard, key uint64, ls *lockState) {
 		// goroutine wakes — a stale edge would read as a phantom cycle to
 		// the deadlock detector. (waitMu nests strictly inside sh.mu here;
 		// the detector never holds waitMu while taking a shard lock.)
-		m.clearWaiting(w.owner)
+		m.clearWaiting(w.owner, w)
 		w.ready <- nil
 	}
 }

@@ -49,8 +49,8 @@ type CrashScenario struct {
 	AbortEvery int
 
 	// Parallelism is the checkpoint worker-pool width and the recovery
-	// worker count (default 1: the original serial pipeline, so the base
-	// matrix is unchanged). With N > 1, per-worker crash points
+	// worker count (default 1: one worker, the paper's serial
+	// checkpointer, so the base matrix is unchanged). With N > 1, per-worker crash points
 	// "checkpoint.segment.worker<i>" become meaningful.
 	Parallelism int
 }

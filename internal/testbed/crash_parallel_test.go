@@ -13,10 +13,10 @@ import (
 )
 
 // TestCrashMatrixParallel extends the crash matrix with the parallelism
-// axis: every algorithm runs with the serial pipeline (1 worker, armed at
-// the worker-0 crash point, which the serial sweeps report) and with a
-// 4-worker pool (armed at the worker-1 point, so the fault can only fire
-// if the pool really fans out). Torn backup writes are exercised under
+// axis: every algorithm runs with one worker (armed at the worker-0 crash
+// point, the only one a one-worker sweep reports) and with a 4-worker
+// pool (armed at the worker-1 point, so the fault can only fire if the
+// pool really fans out). Torn backup writes are exercised under
 // the 4-worker pool, where several workers write the target copy
 // concurrently.
 func TestCrashMatrixParallel(t *testing.T) {
@@ -30,8 +30,8 @@ func TestCrashMatrixParallel(t *testing.T) {
 	}
 	for _, alg := range mmdb.Algorithms {
 		for _, par := range []int{1, 4} {
-			// The serial sweeps attribute every segment to worker 0; with a
-			// pool, arming worker 1 proves a second worker actually ran.
+			// A one-worker sweep attributes every segment to worker 0; with
+			// a pool, arming worker 1 proves a second worker actually ran.
 			worker := 0
 			if par > 1 {
 				worker = 1
@@ -99,9 +99,10 @@ func copyTree(t *testing.T, src string) string {
 }
 
 // TestRecoveryParallelEquivalence crashes a database mid-life for every
-// algorithm, then recovers two copies of the identical on-disk state —
-// one with the serial pipeline, one with 4 loader/apply workers — and
-// requires byte-identical databases and matching replay accounting.
+// algorithm, then recovers two copies of the identical on-disk state on
+// the one recovery path — one with a single loader/apply worker, one with
+// 4 — and requires byte-identical databases and matching replay
+// accounting.
 func TestRecoveryParallelEquivalence(t *testing.T) {
 	const (
 		records     = 256
@@ -160,7 +161,7 @@ func TestRecoveryParallelEquivalence(t *testing.T) {
 			cfgS.RecoveryParallelism = 1
 			dbS, repS, err := mmdb.Recover(cfgS)
 			if err != nil {
-				t.Fatalf("serial recovery: %v", err)
+				t.Fatalf("one-worker recovery: %v", err)
 			}
 			defer dbS.Close()
 			cfgP := cfg
@@ -168,24 +169,27 @@ func TestRecoveryParallelEquivalence(t *testing.T) {
 			cfgP.RecoveryParallelism = 4
 			dbP, repP, err := mmdb.Recover(cfgP)
 			if err != nil {
-				t.Fatalf("parallel recovery: %v", err)
+				t.Fatalf("four-worker recovery: %v", err)
 			}
 			defer dbP.Close()
+			if repS.Parallelism != 1 || repP.Parallelism != 4 {
+				t.Fatalf("Parallelism: got %d and %d, want 1 and 4", repS.Parallelism, repP.Parallelism)
+			}
 
 			if repS.UsedCheckpoint != repP.UsedCheckpoint || repS.UsedCopy != repP.UsedCopy {
-				t.Errorf("checkpoint choice differs: serial %+v parallel %+v", repS, repP)
+				t.Errorf("checkpoint choice differs: 1 worker %+v, 4 workers %+v", repS, repP)
 			}
 			if repS.SegmentsLoaded != repP.SegmentsLoaded {
-				t.Errorf("SegmentsLoaded: serial %d, parallel %d", repS.SegmentsLoaded, repP.SegmentsLoaded)
+				t.Errorf("SegmentsLoaded: 1 worker %d, 4 workers %d", repS.SegmentsLoaded, repP.SegmentsLoaded)
 			}
 			if repS.TxnsReplayed != repP.TxnsReplayed {
-				t.Errorf("TxnsReplayed: serial %d, parallel %d", repS.TxnsReplayed, repP.TxnsReplayed)
+				t.Errorf("TxnsReplayed: 1 worker %d, 4 workers %d", repS.TxnsReplayed, repP.TxnsReplayed)
 			}
 			if repS.UpdatesApplied != repP.UpdatesApplied {
-				t.Errorf("UpdatesApplied: serial %d, parallel %d", repS.UpdatesApplied, repP.UpdatesApplied)
+				t.Errorf("UpdatesApplied: 1 worker %d, 4 workers %d", repS.UpdatesApplied, repP.UpdatesApplied)
 			}
 			if repS.UpdatesDiscarded != repP.UpdatesDiscarded {
-				t.Errorf("UpdatesDiscarded: serial %d, parallel %d", repS.UpdatesDiscarded, repP.UpdatesDiscarded)
+				t.Errorf("UpdatesDiscarded: 1 worker %d, 4 workers %d", repS.UpdatesDiscarded, repP.UpdatesDiscarded)
 			}
 			for rid := uint64(0); rid < records; rid++ {
 				gotS, err := dbS.ReadRecord(rid)
@@ -197,7 +201,7 @@ func TestRecoveryParallelEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(gotS, gotP) {
-					t.Errorf("record %d: serial %x parallel %x", rid, gotS[:8], gotP[:8])
+					t.Errorf("record %d: 1 worker %x, 4 workers %x", rid, gotS[:8], gotP[:8])
 				}
 			}
 		})

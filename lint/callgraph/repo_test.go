@@ -33,8 +33,8 @@ func TestRepoCallGraph(t *testing.T) {
 		begin    = "mmdb/internal/engine.Engine.Begin"
 		commit   = "mmdb/internal/engine.Txn.Commit"
 		ckptCtx  = "mmdb/internal/engine.Engine.CheckpointContext"
-		sweepPar = "mmdb/internal/engine.Engine.sweepParallel"
-		sweepFF  = "mmdb/internal/engine.Engine.sweepFastFuzzyParallel"
+		sweep    = "mmdb/internal/engine.sweeper.sweep"
+		sweepFF  = "mmdb/internal/engine.sweeper.fastFuzzySegment"
 		fanOut   = "mmdb/internal/engine.fanOut"
 		flushSeg = "mmdb/internal/engine.Engine.flushSegment"
 		quiesce  = "mmdb/internal/engine.Engine.quiesce"
@@ -59,13 +59,13 @@ func TestRepoCallGraph(t *testing.T) {
 		}
 	}
 
-	// The checkpoint path: CheckpointContext drives the parallel sweeps,
+	// The checkpoint path: CheckpointContext drives the batched sweep,
 	// the fan-out join, and the per-segment flush without crossing a
-	// goroutine boundary — the flush closures run on fanOut's workers,
-	// but statically they are attributed to the sweep that declares
-	// them, which is what lets ctxcheck hold the sweeps accountable.
+	// goroutine boundary — the worker closure runs on fanOut's workers,
+	// but statically it is attributed to the sweeper method that
+	// declares it, which is what lets ctxcheck hold the sweep accountable.
 	syncFromCkpt := g.Reachable(ckptCtx, false)
-	for _, want := range []string{sweepPar, sweepFF, fanOut, flushSeg, quiesce, walApp} {
+	for _, want := range []string{sweep, sweepFF, fanOut, flushSeg, quiesce, walApp} {
 		if !syncFromCkpt[want] {
 			t.Errorf("CheckpointContext should synchronously reach %s", want)
 		}

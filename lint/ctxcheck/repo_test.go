@@ -42,7 +42,7 @@ func TestRepoContextDiscipline(t *testing.T) {
 // all resurface. This is the violation-reintroduction demonstration —
 // deleting any of these annotations (or re-introducing the violation
 // they exempt) makes the 10-analyzer sweep fail at exactly these
-// sites. The parallel.go hit covers the PR 5 pipeline property:
+// sites. The sweep.go hit covers the checkpoint pipeline property:
 // fanOut's mandatory join loop is reachable from CheckpointContext.
 func TestRepoExemptionsAreLoadBearing(t *testing.T) {
 	annotationsEnabled = false
@@ -54,7 +54,7 @@ func TestRepoExemptionsAreLoadBearing(t *testing.T) {
 		"checkpoint.go:context.Backgrou": false, // Checkpoint's root annotation
 		"recovery.go:context.Background": false, // Recover's root annotation
 		"engine.go:this loop may block":  false, // Begin / quiesce gate loops
-		"parallel.go:this loop may bloc": false, // fanOut's join loop
+		"sweep.go:this loop may block":   false, // fanOut's join loop
 		"checkpoint.go:grantLocked":      false, // grantLocked's grant loop, via the checkpoint path
 	}
 	for _, pkg := range ctxAudited {

@@ -38,7 +38,7 @@ func TestRepoSpawnsJoined(t *testing.T) {
 // recognition disabled: every annotated spawn site must resurface as a
 // diagnostic. Silence here would mean an annotation is decorating a
 // spawn the analyzer never saw — i.e. the static guarantee is weaker
-// than the annotations advertise. The parallel.go hit is the PR 5
+// than the annotations advertise. The sweep.go hit is the checkpoint
 // pipeline property: remove fanOut's join annotation (or its join
 // loop) and the 10-analyzer sweep fails.
 func TestRepoAnnotationsAreLoadBearing(t *testing.T) {
@@ -47,11 +47,11 @@ func TestRepoAnnotationsAreLoadBearing(t *testing.T) {
 
 	ld := newRepoLoader(t)
 	wantSites := map[string]bool{
-		"internal/engine/engine.go":   false, // go e.checkpointLoop(...)
-		"internal/engine/parallel.go": false, // fanOut's worker spawn
-		"internal/wal/log.go":         false, // go l.flushLoop(...)
-		"internal/testbed/crash.go":   false, // in-flight checkpoint goroutine
-		"cmd/ckptbench/main.go":       false, // metrics server
+		"internal/engine/engine.go": false, // go e.checkpointLoop(...)
+		"internal/engine/sweep.go":  false, // fanOut's worker spawn
+		"internal/wal/log.go":       false, // go l.flushLoop(...)
+		"internal/testbed/crash.go": false, // in-flight checkpoint goroutine
+		"cmd/ckptbench/main.go":     false, // metrics server
 	}
 	for _, pkg := range goleakAudited {
 		diags, err := ld.Check(Analyzer, pkg)

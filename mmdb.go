@@ -199,8 +199,7 @@ func (db *DB) Checkpoint() (*CheckpointResult, error) {
 }
 
 // CheckpointContext is Checkpoint with cancellation: ctx is observed
-// between segments (serial sweeps) and between worker batches (parallel
-// sweeps). A cancelled checkpoint leaves the target backup copy
+// between sweep batches (between segments with one worker). A cancelled checkpoint leaves the target backup copy
 // incomplete — the same state a crash mid-checkpoint leaves — and
 // recovery falls back to the other ping-pong copy.
 func (db *DB) CheckpointContext(ctx context.Context) (*CheckpointResult, error) {
