@@ -46,11 +46,11 @@ bench:
 	$(GO) run ./cmd/ckptbench -shards $(BENCH_SHARDS) -crash -txns $(BENCH_TXNS) -append -json BENCH_ckpt.json
 
 # A traced run: one synchronous-commit workload with every commit traced
-# (SpanSampleEvery=1), exporting the flight recorder's span ring and
-# lifecycle events as Chrome trace-event JSON — open TRACE_OUT in
-# chrome://tracing or https://ui.perfetto.dev. Commit trees (wal_append,
-# group_commit_flush, interference phases) and checkpoint trees
-# (quiesce, per-segment flushes) land on per-tree tracks. Tune
+# (SpanSampleEvery=1), exporting the flight recorder's span ring as
+# Chrome trace-event JSON — open TRACE_OUT in chrome://tracing or
+# https://ui.perfetto.dev. Commit trees (wal_append, group_commit_flush,
+# interference phases, aborts) and checkpoint trees (quiesce,
+# per-segment flushes, log compaction) land on per-tree tracks. Tune
 # TRACE_ALG/TRACE_TXNS for other algorithms or longer tails.
 TRACE_OUT ?= trace.json
 TRACE_ALG ?= COUCOPY

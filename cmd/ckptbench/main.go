@@ -592,14 +592,14 @@ func traceFilePath(base, alg string, par int) string {
 	return fmt.Sprintf("%s.%s-p%d%s", strings.TrimSuffix(base, ext), alg, par, ext)
 }
 
-// writeTrace dumps the engine's span ring and lifecycle-event ring as
-// Chrome trace-event JSON, loadable in chrome://tracing or Perfetto.
+// writeTrace dumps the engine's span ring as Chrome trace-event JSON,
+// loadable in chrome://tracing or Perfetto.
 func writeTrace(path string, db *mmdb.DB) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	werr := obs.WriteChromeTrace(f, db.Spans(), db.TraceEvents())
+	werr := obs.WriteChromeTrace(f, db.Spans())
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}

@@ -22,9 +22,9 @@
 //	    Fetch and print live metrics from a running process serving
 //	    DB.Metrics().
 //	mmdbctl trace -addr URL [-o FILE]
-//	    Fetch the latency-attribution span ring and lifecycle events from
-//	    a running process as Chrome trace-event JSON, ready to load in
-//	    chrome://tracing or Perfetto ("-o -" writes to stdout).
+//	    Fetch the span ring (the flight recorder) from a running process
+//	    as Chrome trace-event JSON, ready to load in chrome://tracing or
+//	    Perfetto ("-o -" writes to stdout).
 //
 // stats and trace talk to a live process over HTTP; every other
 // subcommand works offline on a database directory.
@@ -160,8 +160,8 @@ func stats(w io.Writer, addr, format string, watch bool, interval time.Duration)
 	}
 }
 
-// trace fetches the span ring and lifecycle events as Chrome trace-event
-// JSON and writes them to out ("-" or empty means stdout, i.e. w).
+// trace fetches the span ring as Chrome trace-event JSON and writes it
+// to out ("-" or empty means stdout, i.e. w).
 func trace(w io.Writer, addr, out string) error {
 	if addr == "" {
 		return fmt.Errorf("trace needs -addr (a URL serving DB.Metrics())")

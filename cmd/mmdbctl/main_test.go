@@ -17,7 +17,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 // goldenHandler serves a registry with fixed, deterministic contents so
 // the stats JSON output can be pinned byte-for-byte.
-func goldenHandler() (*obs.Registry, *obs.Tracer, *obs.SpanTracer, *obs.Watchdog) {
+func goldenHandler() (*obs.Registry, *obs.SpanTracer, *obs.Watchdog) {
 	reg := obs.NewRegistry()
 	reg.Counter("mmdb_wal_records_total", "records appended to the log").Add(42)
 	reg.Counter("mmdb_ckpt_passes_total", "completed checkpoint passes").Add(3)
@@ -27,16 +27,15 @@ func goldenHandler() (*obs.Registry, *obs.Tracer, *obs.SpanTracer, *obs.Watchdog
 		h.Observe(ns)
 	}
 	spans := obs.NewSpanTracer(64, 1)
-	tracer := obs.NewTracer(64)
-	return reg, tracer, spans, obs.NewWatchdog(spans)
+	return reg, spans, obs.NewWatchdog(spans)
 }
 
 // TestStatsJSONGolden pins the exact bytes `mmdbctl stats -format json`
 // prints for a known registry. The JSON exposition sorts map keys and
 // uses fixed indentation, so the output is fully deterministic.
 func TestStatsJSONGolden(t *testing.T) {
-	reg, tracer, spans, wd := goldenHandler()
-	srv := httptest.NewServer(obs.Handler(reg, tracer, spans, wd))
+	reg, spans, wd := goldenHandler()
+	srv := httptest.NewServer(obs.Handler(reg, spans, wd))
 	defer srv.Close()
 
 	var buf bytes.Buffer
@@ -91,17 +90,17 @@ func TestStatsRejectsUnknownFormat(t *testing.T) {
 }
 
 // TestTraceSmoke drives `mmdbctl trace` against a handler whose span
-// ring holds a small parented tree plus a lifecycle instant, and checks
-// the written file is valid Chrome trace-event JSON: complete ("X")
-// span events carrying parent links and an instant ("i") event.
+// ring holds a small parented tree, one child a zero-length point fact,
+// and checks the written file is valid Chrome trace-event JSON: complete
+// ("X") span events carrying parent links, laid out on the root's track.
 func TestTraceSmoke(t *testing.T) {
-	reg, tracer, spans, wd := goldenHandler()
+	reg, spans, wd := goldenHandler()
 	root := spans.Begin(obs.SpanCommit, obs.SpanNone, 7, 0)
 	child := spans.Begin(obs.SpanWALAppend, root, 7, 11)
 	spans.End(child)
+	spans.End(spans.Begin(obs.SpanTxnAbort, root, 7, 0))
 	spans.End(root)
-	tracer.Record(obs.EvTxnCommit, 7, 11, 0)
-	srv := httptest.NewServer(obs.Handler(reg, tracer, spans, wd))
+	srv := httptest.NewServer(obs.Handler(reg, spans, wd))
 	defer srv.Close()
 
 	out := filepath.Join(t.TempDir(), "trace.json")
@@ -134,36 +133,34 @@ func TestTraceSmoke(t *testing.T) {
 	if doc.DisplayTimeUnit != "ns" {
 		t.Errorf("displayTimeUnit = %q, want ns", doc.DisplayTimeUnit)
 	}
-	var complete, instants, childSpans int
+	var complete, childSpans int
 	for _, ev := range doc.TraceEvents {
-		switch ev.Ph {
-		case "X":
-			complete++
-			if ev.Args["parent"] != uint64(obs.SpanNone) {
-				childSpans++
-				if ev.Args["parent"] != uint64(root) {
-					t.Errorf("child span parent arg = %d, want %d", ev.Args["parent"], root)
-				}
-				if ev.Tid != uint64(root) {
-					t.Errorf("child span on track %d, want root track %d", ev.Tid, root)
-				}
+		if ev.Ph != "X" {
+			t.Errorf("trace event %q has phase %q, want X", ev.Name, ev.Ph)
+			continue
+		}
+		complete++
+		if ev.Args["parent"] != uint64(obs.SpanNone) {
+			childSpans++
+			if ev.Args["parent"] != uint64(root) {
+				t.Errorf("child span parent arg = %d, want %d", ev.Args["parent"], root)
 			}
-		case "i":
-			instants++
+			if ev.Tid != uint64(root) {
+				t.Errorf("child span on track %d, want root track %d", ev.Tid, root)
+			}
 		}
 	}
-	if complete != 2 || childSpans != 1 || instants != 1 {
-		t.Errorf("trace events: %d complete (%d children), %d instants; want 2 (1), 1",
-			complete, childSpans, instants)
+	if complete != 3 || childSpans != 2 {
+		t.Errorf("trace events: %d complete (%d children), want 3 (2)", complete, childSpans)
 	}
 }
 
 // TestTraceStdout checks "-o -" streams the raw trace JSON to the writer
 // instead of a file.
 func TestTraceStdout(t *testing.T) {
-	reg, tracer, spans, wd := goldenHandler()
+	reg, spans, wd := goldenHandler()
 	spans.End(spans.Begin(obs.SpanCheckpoint, obs.SpanNone, 1, 2))
-	srv := httptest.NewServer(obs.Handler(reg, tracer, spans, wd))
+	srv := httptest.NewServer(obs.Handler(reg, spans, wd))
 	defer srv.Close()
 
 	var buf bytes.Buffer

@@ -102,7 +102,7 @@ func run(addr, dir string, records, recBytes, segBytes int, algName string,
 
 	if metricsAddr != "" {
 		mux := http.NewServeMux()
-		mux.Handle("/metrics", obs.Handler(router.Registry(), nil, nil, nil))
+		mux.Handle("/metrics", obs.Handler(router.Registry(), nil, nil))
 		for i := 0; i < router.NumShards(); i++ {
 			mux.Handle(fmt.Sprintf("/shard/%d/", i), router.Shard(i).DB().Metrics())
 		}

@@ -118,15 +118,22 @@ func TestInterferenceAttributionMatchesCounters(t *testing.T) {
 	}
 }
 
-// TestSpanTreesThroughEngine drives a traced synchronous-commit workload
-// plus a checkpoint and checks the span ring holds properly parented
-// trees: commit roots with wal_append and group_commit_flush children,
-// and a checkpoint root with ckpt_segment children.
+// TestSpanTreesThroughEngine drives a traced synchronous-commit workload,
+// an aborted transaction, a checkpoint, and a reopen, and checks the span
+// ring holds properly parented trees for every fact the engine records:
+// commit roots with wal_append and group_commit_flush children, a
+// txn_abort under the aborted commit root, a checkpoint root with
+// ckpt_segment and log_compact children, and a recovery root with its
+// three phase children.
 func TestSpanTreesThroughEngine(t *testing.T) {
 	p := testParams(t, FuzzyCopy)
 	p.SpanSampleEvery = 1
 	e := mustOpen(t, p)
-	defer e.Close()
+	defer func() {
+		if e != nil {
+			e.Close()
+		}
+	}()
 
 	val := encVal(5)
 	for i := 0; i < 32; i++ {
@@ -134,8 +141,19 @@ func TestSpanTreesThroughEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	tx, err := e.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Write(1, encVal(6)); err != nil {
+		t.Fatal(err)
+	}
+	tx.Abort()
 	if _, err := e.Checkpoint(); err != nil {
 		t.Fatal(err)
+	}
+	if n := e.Stats().LogCompactions; n == 0 {
+		t.Fatal("checkpoint freed no log; the log_compact check would be vacuous")
 	}
 
 	spans := e.SpanEvents()
@@ -143,7 +161,12 @@ func TestSpanTreesThroughEngine(t *testing.T) {
 	for _, s := range spans {
 		byID[s.ID()] = s
 	}
-	var commitRoots, walChildren, flushChildren, ckptRoots, segChildren int
+	// parentIs reports whether s hangs off a retained span of kind k.
+	parentIs := func(s obs.Span, k obs.SpanKind) bool {
+		parent, ok := byID[s.Parent]
+		return ok && parent.Kind == k
+	}
+	var commitRoots, walChildren, flushChildren, aborts, ckptRoots, segChildren, compacts int
 	for _, s := range spans {
 		switch s.Kind {
 		case obs.SpanCommit:
@@ -152,11 +175,11 @@ func TestSpanTreesThroughEngine(t *testing.T) {
 			}
 			commitRoots++
 		case obs.SpanWALAppend, obs.SpanGroupCommitFlush:
-			parent, ok := byID[s.Parent]
-			if !ok || parent.Kind != obs.SpanCommit {
+			if !parentIs(s, obs.SpanCommit) {
 				t.Errorf("%v span %d: parent %d is not a commit root in the ring", s.Kind, s.Seq, s.Parent)
 				continue
 			}
+			parent := byID[s.Parent]
 			if s.Begin < parent.Begin || s.Begin+s.Dur > parent.Begin+parent.Dur+int64(time.Millisecond) {
 				t.Errorf("%v span %d [%d,+%d] does not nest in commit [%d,+%d]",
 					s.Kind, s.Seq, s.Begin, s.Dur, parent.Begin, parent.Dur)
@@ -166,21 +189,65 @@ func TestSpanTreesThroughEngine(t *testing.T) {
 			} else {
 				flushChildren++
 			}
+		case obs.SpanTxnAbort:
+			if !parentIs(s, obs.SpanCommit) || s.A != tx.ID() {
+				t.Errorf("txn_abort span %+v: want a child of the commit root of txn %d", s, tx.ID())
+			}
+			aborts++
 		case obs.SpanCheckpoint:
 			ckptRoots++
 		case obs.SpanCkptSegment:
-			if parent, ok := byID[s.Parent]; !ok || parent.Kind != obs.SpanCheckpoint {
+			if !parentIs(s, obs.SpanCheckpoint) {
 				t.Errorf("ckpt_segment span %d: parent %d is not a checkpoint root", s.Seq, s.Parent)
 			}
 			segChildren++
+		case obs.SpanLogCompact:
+			if !parentIs(s, obs.SpanCheckpoint) {
+				t.Errorf("log_compact span %d: parent %d is not a checkpoint root", s.Seq, s.Parent)
+			}
+			compacts++
 		}
 	}
 	if commitRoots == 0 || walChildren == 0 || flushChildren == 0 {
 		t.Errorf("commit trees incomplete: %d roots, %d wal_append, %d group_commit_flush",
 			commitRoots, walChildren, flushChildren)
 	}
-	if ckptRoots != 1 || segChildren == 0 {
-		t.Errorf("checkpoint tree incomplete: %d roots, %d segment children", ckptRoots, segChildren)
+	if aborts != 1 {
+		t.Errorf("txn_abort spans = %d, want 1", aborts)
+	}
+	if ckptRoots != 1 || segChildren == 0 || compacts != 1 {
+		t.Errorf("checkpoint tree incomplete: %d roots, %d segment children, %d log_compact",
+			ckptRoots, segChildren, compacts)
+	}
+
+	// A reopen records one recovery tree with its three phases.
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if e, _, err = Recover(p); err != nil {
+		t.Fatal(err)
+	}
+	spans = e.SpanEvents()
+	byID = make(map[obs.SpanID]obs.Span, len(spans))
+	for _, s := range spans {
+		byID[s.ID()] = s
+	}
+	phases := make(map[obs.SpanKind]int)
+	for _, s := range spans {
+		switch s.Kind {
+		case obs.SpanRecovery:
+			phases[s.Kind]++
+		case obs.SpanRecBackupLoad, obs.SpanRecLogScan, obs.SpanRecRedoApply:
+			if !parentIs(s, obs.SpanRecovery) {
+				t.Errorf("%v span %d: parent %d is not the recovery root", s.Kind, s.Seq, s.Parent)
+			}
+			phases[s.Kind]++
+		}
+	}
+	for _, k := range []obs.SpanKind{obs.SpanRecovery, obs.SpanRecBackupLoad, obs.SpanRecLogScan, obs.SpanRecRedoApply} {
+		if phases[k] != 1 {
+			t.Errorf("%v spans after reopen = %d, want 1", k, phases[k])
+		}
 	}
 }
 

@@ -142,7 +142,6 @@ func (e *Engine) CheckpointContext(ctx context.Context) (*CheckpointResult, erro
 		return nil, fmt.Errorf("engine: checkpoint %d begin: %w", id, err)
 	}
 	e.ckptSeq++
-	e.eo.tracer.Record(obs.EvCkptBegin, id, uint64(target), 0)
 
 	if err := e.bstore.BeginCheckpoint(target, backup.CheckpointInfo{
 		ID:           id,
@@ -190,14 +189,13 @@ func (e *Engine) CheckpointContext(ctx context.Context) (*CheckpointResult, erro
 	}
 
 	if !e.params.DisableLogCompaction {
-		e.compactLog()
+		e.compactLog(run)
 	}
 
 	dur := time.Since(started)
 	e.ctr.checkpoints.Add(1)
 	e.ctr.ckptLastNanos.Store(uint64(dur))
 	e.eo.ckptH.Observe(uint64(dur))
-	e.eo.tracer.Record(obs.EvCkptEnd, id, uint64(flushed), uint64(dur))
 	e.eo.spans.End(run.span)
 	e.eo.watchdog.Check(obs.WatchCheckpoint, run.span, int64(dur))
 
@@ -237,7 +235,6 @@ func (e *Engine) flushSegment(run *ckptRun, idx int, data []byte) error {
 	d := time.Since(began)
 	e.eo.spans.End(span)
 	e.eo.ckptSegH.Observe(uint64(d))
-	e.eo.tracer.Record(obs.EvCkptSegment, run.id, uint64(idx), uint64(d))
 	return nil
 }
 
@@ -277,10 +274,11 @@ func (e *Engine) segmentDone(run *ckptRun, worker, idx int) error {
 // compactLog drops the log head that no recovery can need: records before
 // the redo-scan start of every complete checkpoint. Failure is non-fatal
 // (the uncompacted log is merely larger); it is recorded in the stats.
-// Caller holds ckptMu, so no checkpoint races the metadata reads.
+// The compaction is a log_compact span in run's checkpoint tree. Caller
+// holds ckptMu, so no checkpoint races the metadata reads.
 //
 // lockorder:held Engine.ckptMu
-func (e *Engine) compactLog() {
+func (e *Engine) compactLog(run *ckptRun) {
 	keep := wal.NilLSN
 	for c := 0; c < 2; c++ {
 		ci := e.bstore.CopyInfo(c)
@@ -291,7 +289,9 @@ func (e *Engine) compactLog() {
 	if keep == wal.NilLSN || keep == 0 {
 		return
 	}
+	span := e.eo.spans.Begin(obs.SpanLogCompact, run.span, run.id, uint64(keep))
 	freed, err := e.log.Compact(keep)
+	e.eo.spans.End(span)
 	if err != nil {
 		e.ctr.compactErrors.Add(1)
 		return
@@ -299,7 +299,6 @@ func (e *Engine) compactLog() {
 	if freed > 0 {
 		e.ctr.compactions.Add(1)
 		e.ctr.compactBytes.Add(uint64(freed))
-		e.eo.tracer.Record(obs.EvCompaction, uint64(freed), 0, 0)
 	}
 }
 

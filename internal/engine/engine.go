@@ -118,7 +118,7 @@ type Engine struct {
 
 	ctr counters
 	// eo is the observability surface (metrics registry, latency
-	// histograms, lifecycle tracer); always non-nil.
+	// histograms, span ring); always non-nil.
 	eo *engineObs
 }
 
@@ -297,7 +297,6 @@ func (e *Engine) begin(reuse bool) (*Txn, error) {
 	// attribution histogram for every transaction, sampled or not.
 	tx.beganNanos = time.Now().UnixNano()
 	tx.span = e.eo.spans.BeginSampled(obs.SpanCommit, tx.id, 0)
-	e.eo.tracer.Record(obs.EvTxnBegin, tx.id, 0, 0)
 	return tx, nil
 }
 

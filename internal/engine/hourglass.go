@@ -240,7 +240,6 @@ func (tx *Txn) hourglassPreserve(run *ckptRun, seg *storage.Segment, segIdx int)
 		stalled := time.Since(stallBegan)
 		e.eo.attrHgStallH.Observe(uint64(max(stalled, 0)))
 		e.eo.spans.End(stallSpan)
-		e.eo.tracer.Record(obs.EvHourglassStall, tx.id, uint64(segIdx), uint64(max(stalled, 0)))
 		seg.Lock()
 		if !ok || e.cur.Load() != run || seg.Paint == run.id || seg.TS > run.tau || seg.Old != nil {
 			// The run ended, or the segment was dumped/preserved while we

@@ -6,17 +6,16 @@ import (
 )
 
 // engineObs bundles the engine's observability surface: one registry and
-// one lifecycle tracer per engine, plus the histogram handles the hot
-// paths record into. It is assembled before the engine's components so
-// the WAL, backup store, and lock manager receive their instruments at
-// construction time; the per-subsystem handles live here so metric names
-// are declared in exactly one place.
+// one span ring (the flight recorder) per engine, plus the histogram
+// handles the hot paths record into. It is assembled before the engine's
+// components so the WAL, backup store, and lock manager receive their
+// instruments at construction time; the per-subsystem handles live here
+// so metric names are declared in exactly one place.
 //
 // Everything inside is either immutable after newEngineObs or internally
 // synchronized (obs types are atomic), so engineObs needs no lock.
 type engineObs struct {
 	reg      *obs.Registry
-	tracer   *obs.Tracer
 	spans    *obs.SpanTracer // nil when span tracing is disabled
 	watchdog *obs.Watchdog
 
@@ -57,7 +56,7 @@ type engineObs struct {
 	lockWaitH  *obs.Histogram
 }
 
-// newEngineObs builds the registry, tracer, span tracer, watchdog, and
+// newEngineObs builds the registry, span tracer, watchdog, and
 // every engine-level instrument. spanSample is the resolved
 // Params.SpanSampleEvery (negative disables the span tracer; the
 // attribution histograms stay). Counter funcs over the engine's activity
@@ -70,7 +69,6 @@ func newEngineObs(spanSample int) *engineObs {
 	}
 	eo := &engineObs{
 		reg:      reg,
-		tracer:   obs.NewTracer(0),
 		spans:    spans,
 		watchdog: obs.NewWatchdog(spans),
 
@@ -192,12 +190,6 @@ func (eo *engineObs) bind(e *Engine) {
 // MetricsRegistry returns the engine's metrics registry. Callers may
 // register additional metrics (kvstore registers its op latencies here).
 func (e *Engine) MetricsRegistry() *obs.Registry { return e.eo.reg }
-
-// Tracer returns the engine's lifecycle-event tracer.
-func (e *Engine) Tracer() *obs.Tracer { return e.eo.tracer }
-
-// TraceEvents dumps the currently retained lifecycle events in order.
-func (e *Engine) TraceEvents() []obs.Event { return e.eo.tracer.Dump() }
 
 // Spans returns the engine's span tracer (nil when disabled).
 func (e *Engine) Spans() *obs.SpanTracer { return e.eo.spans }

@@ -54,7 +54,7 @@ func TestLastIntervalZeroUntilSecondCheckpoint(t *testing.T) {
 }
 
 // TestStatsConcurrentAllAlgorithms hammers Stats, the metrics Gather,
-// and the tracer dump while writers and checkpoints run, across all six
+// and the span-ring dump while writers and checkpoints run, across all six
 // algorithms. Its value is under -race (the race gate runs it): every
 // snapshot path must be safe against the hot-path atomics.
 func TestStatsConcurrentAllAlgorithms(t *testing.T) {
@@ -110,7 +110,7 @@ func TestStatsConcurrentAllAlgorithms(t *testing.T) {
 							return
 						}
 						_ = e.MetricsRegistry().Gather()
-						_ = e.TraceEvents()
+						_ = e.SpanEvents()
 					}
 				}()
 			}

@@ -152,7 +152,6 @@ func RecoverContext(ctx context.Context, p Params) (*Engine, *RecoveryReport, er
 	rep.BackupLoadTime = time.Since(phaseBegan)
 	eo.spans.End(loadSpan)
 	eo.recBackupLoad.Set(rep.BackupLoadTime.Seconds())
-	eo.tracer.Record(obs.EvRecoveryPhase, obs.RecPhaseBackupLoad, uint64(rep.BackupLoadTime), 0)
 
 	// Scan the log. Pass 1 finds committed transactions; pass 2 applies
 	// their after-images in log order (record-level X locks held to commit
@@ -238,7 +237,6 @@ func RecoverContext(ctx context.Context, p Params) (*Engine, *RecoveryReport, er
 	rep.LogScanTime = time.Since(phaseBegan)
 	eo.spans.End(scanSpan)
 	eo.recLogScan.Set(rep.LogScanTime.Seconds())
-	eo.tracer.Record(obs.EvRecoveryPhase, obs.RecPhaseLogScan, uint64(rep.LogScanTime), 0)
 	redoSpan := eo.spans.Begin(obs.SpanRecRedoApply, recSpan, 0, 0)
 	phaseBegan = time.Now()
 
@@ -274,7 +272,6 @@ func RecoverContext(ctx context.Context, p Params) (*Engine, *RecoveryReport, er
 	rep.RedoApplyTime = time.Since(phaseBegan)
 	eo.spans.End(redoSpan)
 	eo.recRedoApply.Set(rep.RedoApplyTime.Seconds())
-	eo.tracer.Record(obs.EvRecoveryPhase, obs.RecPhaseRedoApply, uint64(rep.RedoApplyTime), 0)
 	lg, err := wal.Open(logPath, wal.Options{
 		StableTail:    p.StableTail,
 		SyncOnFlush:   p.SyncOnFlush,

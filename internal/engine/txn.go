@@ -101,7 +101,6 @@ func (tx *Txn) checkColor(seg *storage.Segment) error {
 	}
 	if tx.sawBlack && tx.sawWhite {
 		tx.e.ctr.colorRestarts.Add(1)
-		tx.e.eo.tracer.Record(obs.EvTxnRestart, tx.id, run.id, 0)
 		// The restart throws away the whole transaction so far; attribute
 		// its full lifetime, not just this access.
 		tx.e.eo.attrRestartH.Observe(uint64(max(time.Now().UnixNano()-tx.beganNanos, 0)))
@@ -294,7 +293,7 @@ func (tx *Txn) Commit() error {
 				e.locks.ReleaseAll(tx.id)
 				e.finishTxn(tx)
 				e.ctr.txnsCommitted.Add(1)
-				tx.commitObserved(began, commitEnd)
+				tx.commitObserved(began)
 				if errors.Is(werr, wal.ErrClosed) {
 					return fmt.Errorf("%w: %w", ErrCommitInDoubt, ErrStopped)
 				}
@@ -307,15 +306,15 @@ func (tx *Txn) Commit() error {
 	e.locks.ReleaseAll(tx.id)
 	e.finishTxn(tx)
 	e.ctr.txnsCommitted.Add(1)
-	tx.commitObserved(began, commitEnd)
+	tx.commitObserved(began)
 	return nil
 }
 
-// commitObserved records the commit latency histogram sample and the
-// commit trace event, closes the commit root span, and arms the slow-op
-// watchdog with the finished commit. The span is ended before the
-// watchdog check so a tripped dump contains the complete tree.
-func (tx *Txn) commitObserved(began time.Time, commitEnd wal.LSN) {
+// commitObserved records the commit latency histogram sample, closes the
+// commit root span, and arms the slow-op watchdog with the finished
+// commit. The span is ended before the watchdog check so a tripped dump
+// contains the complete tree.
+func (tx *Txn) commitObserved(began time.Time) {
 	d := time.Since(began)
 	if d < 0 {
 		d = 0
@@ -323,7 +322,6 @@ func (tx *Txn) commitObserved(began time.Time, commitEnd wal.LSN) {
 	e := tx.e
 	e.eo.spans.End(tx.span)
 	e.eo.commitH.Observe(uint64(d))
-	e.eo.tracer.Record(obs.EvTxnCommit, tx.id, uint64(commitEnd), uint64(d))
 	e.eo.watchdog.Check(obs.WatchCommit, tx.span, int64(d))
 	tx.span = obs.SpanNone
 }
@@ -384,7 +382,6 @@ func (tx *Txn) install(commitEnd wal.LSN) {
 					e.eo.spans.End(zigSpan)
 					e.ctr.zigzagFlips.Add(1)
 					e.ctr.zigzagFlipBytes.Add(uint64(len(seg.Data)))
-					e.eo.tracer.Record(obs.EvZigzagFlip, tx.id, uint64(segIdx), uint64(len(seg.Data)))
 				}
 			case run.alg == Hourglass:
 				tx.hourglassPreserve(run, seg, segIdx)
@@ -425,7 +422,11 @@ func (tx *Txn) abortInternal() {
 	e.locks.ReleaseAll(tx.id)
 	e.finishTxn(tx)
 	e.ctr.txnsAborted.Add(1)
+	if tx.span != obs.SpanNone {
+		// The abort marks the commit root so an aborted tree differs
+		// from a committed one.
+		e.eo.spans.End(e.eo.spans.Begin(obs.SpanTxnAbort, tx.span, tx.id, 0))
+	}
 	e.eo.spans.End(tx.span)
 	tx.span = obs.SpanNone
-	e.eo.tracer.Record(obs.EvTxnAbort, tx.id, 0, 0)
 }

@@ -7,17 +7,16 @@ import (
 
 // chromeEvent is one entry in the Chrome trace-event JSON format
 // (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU):
-// "X" complete events carry ts+dur, "i" instant events just ts.
-// Timestamps are microseconds.
+// every span is an "X" complete event carrying ts+dur. Timestamps are
+// microseconds.
 type chromeEvent struct {
 	Name string            `json:"name"`
 	Cat  string            `json:"cat"`
 	Ph   string            `json:"ph"`
 	Ts   float64           `json:"ts"`
-	Dur  float64           `json:"dur,omitempty"`
+	Dur  float64           `json:"dur"`
 	Pid  int               `json:"pid"`
 	Tid  uint64            `json:"tid"`
-	S    string            `json:"s,omitempty"`
 	Args map[string]uint64 `json:"args,omitempty"`
 }
 
@@ -27,12 +26,11 @@ type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// WriteChromeTrace writes the flight-recorder contents — completed spans
-// and lifecycle events — as Chrome trace-event JSON, loadable in
-// chrome://tracing or Perfetto. Each span tree is laid out on its own
-// track (tid = the tree root's span ID) so parent/child spans nest by
-// time containment; lifecycle events become global instants on track 0.
-func WriteChromeTrace(w io.Writer, spans []Span, events []Event) error {
+// WriteChromeTrace writes the flight-recorder contents — the completed
+// spans — as Chrome trace-event JSON, loadable in chrome://tracing or
+// Perfetto. Each span tree is laid out on its own track (tid = the tree
+// root's span ID) so parent/child spans nest by time containment.
+func WriteChromeTrace(w io.Writer, spans []Span) error {
 	// Resolve each span's tree root for track assignment. Parent links
 	// always point at earlier tickets, so one pass over the dump (which is
 	// in begin order) resolves every chain.
@@ -49,7 +47,7 @@ func WriteChromeTrace(w io.Writer, spans []Span, events []Event) error {
 		}
 	}
 	doc := chromeTrace{
-		TraceEvents:     make([]chromeEvent, 0, len(spans)+len(events)),
+		TraceEvents:     make([]chromeEvent, 0, len(spans)),
 		DisplayTimeUnit: "ns",
 	}
 	for _, s := range spans {
@@ -67,17 +65,6 @@ func WriteChromeTrace(w io.Writer, spans []Span, events []Event) error {
 				"a":      s.A,
 				"b":      s.B,
 			},
-		})
-	}
-	for _, e := range events {
-		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-			Name: e.Kind.String(),
-			Cat:  "mmdb",
-			Ph:   "i",
-			Ts:   float64(e.Nanos) / 1e3,
-			Pid:  1,
-			S:    "g",
-			Args: map[string]uint64{"a": e.A, "b": e.B, "c": e.C},
 		})
 	}
 	enc := json.NewEncoder(w)

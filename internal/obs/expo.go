@@ -113,16 +113,6 @@ func SnapshotJSON(s Snapshot) HistogramJSON {
 	}
 }
 
-// EventJSON is the JSON shape of one trace event.
-type EventJSON struct {
-	Seq   uint64 `json:"seq"`
-	Nanos int64  `json:"nanos"`
-	Kind  string `json:"kind"`
-	A     uint64 `json:"a"`
-	B     uint64 `json:"b"`
-	C     uint64 `json:"c"`
-}
-
 // SpanJSON is the JSON shape of one attribution span.
 type SpanJSON struct {
 	Seq    uint64 `json:"seq"`
@@ -160,14 +150,13 @@ type MetricsJSON struct {
 	Counters   map[string]float64       `json:"counters"`
 	Gauges     map[string]float64       `json:"gauges"`
 	Histograms map[string]HistogramJSON `json:"histograms"`
-	Events     []EventJSON              `json:"events,omitempty"`
 	Spans      []SpanJSON               `json:"spans,omitempty"`
 	SlowOps    []SlowOpJSON             `json:"slow_ops,omitempty"`
 }
 
 // BuildJSON assembles the JSON exposition document from gathered points
-// and (optionally) dumped trace events, spans, and slow-op dumps.
-func BuildJSON(pts []Point, events []Event, spans []Span, slow []SlowOp) MetricsJSON {
+// and (optionally) dumped spans and slow-op dumps.
+func BuildJSON(pts []Point, spans []Span, slow []SlowOp) MetricsJSON {
 	doc := MetricsJSON{
 		Counters:   make(map[string]float64),
 		Gauges:     make(map[string]float64),
@@ -183,11 +172,6 @@ func BuildJSON(pts []Point, events []Event, spans []Span, slow []SlowOp) Metrics
 			doc.Histograms[p.Name] = SnapshotJSON(*p.Hist)
 		}
 	}
-	for _, e := range events {
-		doc.Events = append(doc.Events, EventJSON{
-			Seq: e.Seq, Nanos: e.Nanos, Kind: e.Kind.String(), A: e.A, B: e.B, C: e.C,
-		})
-	}
 	if len(spans) > 0 {
 		doc.Spans = spansJSON(spans)
 	}
@@ -202,20 +186,19 @@ func BuildJSON(pts []Point, events []Event, spans []Span, slow []SlowOp) Metrics
 
 // WriteJSON writes the JSON exposition document (indented, sorted keys —
 // encoding/json sorts map keys).
-func WriteJSON(w io.Writer, pts []Point, events []Event, spans []Span, slow []SlowOp) error {
+func WriteJSON(w io.Writer, pts []Point, spans []Span, slow []SlowOp) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(BuildJSON(pts, events, spans, slow))
+	return enc.Encode(BuildJSON(pts, spans, slow))
 }
 
-// Handler serves the registry (and the flight recorder: the tracer's
-// events with ?events=1, the span ring with ?spans=1, and watchdog
-// slow-op dumps with ?slow=1, all under JSON) over HTTP. ?format=prom
-// (default) selects Prometheus text; ?format=json selects JSON;
-// ?format=chrome serves the flight-recorder contents as Chrome
+// Handler serves the registry (and the flight recorder: the span ring
+// with ?spans=1 and watchdog slow-op dumps with ?slow=1, both under JSON)
+// over HTTP. ?format=prom (default) selects Prometheus text; ?format=json
+// selects JSON; ?format=chrome serves the span ring as Chrome
 // trace-event JSON for chrome://tracing or Perfetto. The spans tracer
 // and watchdog may be nil.
-func Handler(reg *Registry, tracer *Tracer, spans *SpanTracer, wd *Watchdog) http.Handler {
+func Handler(reg *Registry, spans *SpanTracer, wd *Watchdog) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		pts := reg.Gather()
 		format := r.URL.Query().Get("format")
@@ -229,10 +212,6 @@ func Handler(reg *Registry, tracer *Tracer, spans *SpanTracer, wd *Watchdog) htt
 		}
 		switch format {
 		case "json":
-			var events []Event
-			if r.URL.Query().Get("events") == "1" {
-				events = tracer.Dump()
-			}
 			var sps []Span
 			if r.URL.Query().Get("spans") == "1" {
 				sps = spans.Dump()
@@ -242,12 +221,12 @@ func Handler(reg *Registry, tracer *Tracer, spans *SpanTracer, wd *Watchdog) htt
 				slow = wd.SlowOps()
 			}
 			w.Header().Set("Content-Type", "application/json")
-			if err := WriteJSON(w, pts, events, sps, slow); err != nil {
+			if err := WriteJSON(w, pts, sps, slow); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 			}
 		case "chrome":
 			w.Header().Set("Content-Type", "application/json")
-			if err := WriteChromeTrace(w, spans.Dump(), tracer.Dump()); err != nil {
+			if err := WriteChromeTrace(w, spans.Dump()); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 			}
 		case "prom":

@@ -12,9 +12,9 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite exposition golden files")
 
-// goldenFixture builds a deterministic registry + tracer for the
-// exposition golden tests.
-func goldenFixture() (*Registry, *Tracer) {
+// goldenFixture builds a deterministic registry for the exposition
+// golden tests.
+func goldenFixture() *Registry {
 	r := NewRegistry()
 	c := r.Counter("mmdb_test_txns_committed_total", "Committed transactions.")
 	g := r.Gauge("mmdb_test_dirty_ratio", "Fraction of dirty segments.")
@@ -27,13 +27,7 @@ func goldenFixture() (*Registry, *Tracer) {
 	}
 	b.Observe(4096)
 	b.Observe(96)
-	tr := NewTracer(16)
-	tr.Record(EvTxnBegin, 1, 0, 0)
-	tr.Record(EvTxnCommit, 1, 4096, 23_000)
-	tr.Record(EvCkptBegin, 1, 0, 0)
-	tr.Record(EvCkptSegment, 1, 3, 1500)
-	tr.Record(EvCkptEnd, 1, 1, 90_000)
-	return r, tr
+	return r
 }
 
 func checkGolden(t *testing.T, name string, got []byte) {
@@ -56,7 +50,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 
 // TestPrometheusGolden: stable Prometheus text output.
 func TestPrometheusGolden(t *testing.T) {
-	r, _ := goldenFixture()
+	r := goldenFixture()
 	var buf bytes.Buffer
 	if err := WritePrometheus(&buf, r.Gather()); err != nil {
 		t.Fatal(err)
@@ -64,16 +58,11 @@ func TestPrometheusGolden(t *testing.T) {
 	checkGolden(t, "metrics.prom", buf.Bytes())
 }
 
-// TestJSONGolden: stable JSON output. Event timestamps are zeroed so the
-// document is deterministic.
+// TestJSONGolden: stable JSON output.
 func TestJSONGolden(t *testing.T) {
-	r, tr := goldenFixture()
-	events := tr.Dump()
-	for i := range events {
-		events[i].Nanos = 0
-	}
+	r := goldenFixture()
 	var buf bytes.Buffer
-	if err := WriteJSON(&buf, r.Gather(), events, nil, nil); err != nil {
+	if err := WriteJSON(&buf, r.Gather(), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "metrics.json", buf.Bytes())
@@ -107,8 +96,7 @@ func TestPrometheusCumulative(t *testing.T) {
 
 // TestHandler: format negotiation on the HTTP surface.
 func TestHandler(t *testing.T) {
-	r, tr := goldenFixture()
-	h := Handler(r, tr, nil, nil)
+	h := Handler(goldenFixture(), nil, nil)
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -117,7 +105,7 @@ func TestHandler(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=json&events=1", nil))
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=json", nil))
 	if rec.Code != 200 {
 		t.Fatalf("json: code=%d", rec.Code)
 	}
@@ -131,9 +119,6 @@ func TestHandler(t *testing.T) {
 	if hj := doc.Histograms["mmdb_test_commit_seconds"]; hj.Count != 4 || hj.P50 <= 0 {
 		t.Fatalf("json histogram = %+v", hj)
 	}
-	if len(doc.Events) != 5 {
-		t.Fatalf("json events = %d, want 5", len(doc.Events))
-	}
 
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=xml", nil))
@@ -145,7 +130,6 @@ func TestHandler(t *testing.T) {
 // TestHandlerSpansAndChrome: the span ring and watchdog dumps are served
 // under JSON, and format=chrome emits loadable trace-event JSON.
 func TestHandlerSpansAndChrome(t *testing.T) {
-	r, tr := goldenFixture()
 	st := NewSpanTracer(32, 1)
 	root := st.BeginSampled(SpanCommit, 1, 0)
 	child := st.Begin(SpanWALAppend, root, 1, 0)
@@ -154,7 +138,7 @@ func TestHandlerSpansAndChrome(t *testing.T) {
 	wd := NewWatchdog(st)
 	wd.SetThresholds(1, 0) // 1ns: everything trips
 	wd.Check(WatchCommit, root, 5_000)
-	h := Handler(r, tr, st, wd)
+	h := Handler(goldenFixture(), st, wd)
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=json&spans=1&slow=1", nil))
@@ -186,21 +170,14 @@ func TestHandlerSpansAndChrome(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &chrome); err != nil {
 		t.Fatal(err)
 	}
-	// 2 spans (X) + 5 lifecycle events (i) from the golden fixture.
-	if len(chrome.TraceEvents) != 7 {
-		t.Fatalf("chrome events = %d, want 7", len(chrome.TraceEvents))
+	// Every span is one complete ("X") event carrying a duration.
+	if len(chrome.TraceEvents) != 2 {
+		t.Fatalf("chrome events = %d, want 2", len(chrome.TraceEvents))
 	}
-	var xs, is int
 	for _, ev := range chrome.TraceEvents {
-		switch ev["ph"] {
-		case "X":
-			xs++
-		case "i":
-			is++
+		if _, ok := ev["dur"]; ev["ph"] != "X" || !ok {
+			t.Fatalf("chrome event %v, want ph X with dur", ev)
 		}
-	}
-	if xs != 2 || is != 5 {
-		t.Fatalf("chrome phases: %d X + %d i, want 2 + 5", xs, is)
 	}
 }
 

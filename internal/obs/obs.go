@@ -1,14 +1,16 @@
 // Package obs is the engine's observability core: a metrics registry of
 // atomic counters, gauges, and lock-free log-bucketed latency histograms,
-// plus a bounded lock-free lifecycle-event tracer (trace.go) and two
-// exposition surfaces, Prometheus text format and JSON (expo.go).
+// plus the flight recorder — a bounded lock-free span ring (span.go) and
+// the slow-op watchdog that dumps it (watchdog.go) — and the exposition
+// surfaces: Prometheus text, JSON (expo.go), and Chrome trace-event JSON
+// (chrome.go).
 //
 // The package is dependency-free (standard library only) and safe to
 // leave enabled on the hot path: recording a counter is one atomic add,
 // recording a histogram value is three atomic adds plus a bucket
-// increment, and recording a trace event is a handful of atomic stores
-// into a ring buffer. Every Observe/Record/Add method is nil-receiver
-// safe, so subsystems can hold optional metric handles without branching.
+// increment, and recording a span is a handful of atomic stores into a
+// ring buffer. Every Observe/Begin/End/Add method is nil-receiver safe,
+// so subsystems can hold optional metric handles without branching.
 //
 // Metric names follow the convention mmdb_<subsystem>_<name>[_unit]
 // (e.g. mmdb_wal_flush_seconds, mmdb_engine_txns_committed_total); the

@@ -25,6 +25,8 @@ import (
 //	SpanRecBackupLoad    A=segments loaded
 //	SpanRecLogScan       A=records scanned
 //	SpanRecRedoApply     A=records applied
+//	SpanTxnAbort         A=txnID
+//	SpanLogCompact       A=ckptID B=keepLSN
 type SpanKind uint8
 
 const (
@@ -45,6 +47,8 @@ const (
 	SpanRecBackupLoad
 	SpanRecLogScan
 	SpanRecRedoApply
+	SpanTxnAbort
+	SpanLogCompact
 )
 
 // String returns the span kind's wire name.
@@ -82,6 +86,10 @@ func (k SpanKind) String() string {
 		return "rec_log_scan"
 	case SpanRecRedoApply:
 		return "rec_redo_apply"
+	case SpanTxnAbort:
+		return "txn_abort"
+	case SpanLogCompact:
+		return "log_compact"
 	default:
 		return "unknown"
 	}
@@ -116,12 +124,13 @@ type Span struct {
 // ID returns the span's own SpanID (the value Begin returned for it).
 func (s Span) ID() SpanID { return SpanID(s.Seq + 1) }
 
-// spanSlot is one ring-buffer entry, following the traceSlot protocol:
-// Begin claims the slot by storing ticket+1 into claim and writes the
-// payload; End stores the duration and then ticket+1 into done. A reader
-// accepts the slot only when claim == done != 0, so in-flight spans and
-// slots being overwritten are skipped, never torn. Every field is
-// atomic — no locks anywhere on the record path.
+// spanSlot is one ring-buffer entry. Begin claims the slot by storing
+// ticket+1 into claim and writes the payload; End stores the duration
+// and then ticket+1 into done. A reader accepts the slot only when
+// claim == done != 0, which means one writer's payload is fully visible,
+// so in-flight spans and slots being overwritten are skipped, never
+// torn. Every field is atomic — no locks anywhere on the record path,
+// and the protocol is race-detector clean.
 type spanSlot struct {
 	claim  atomic.Uint64
 	parent atomic.Uint64
@@ -134,11 +143,14 @@ type spanSlot struct {
 }
 
 // SpanTracer is a bounded lock-free multi-producer ring buffer of spans —
-// the flight recorder for latency attribution. Begin/End are wait-free
-// (one ticket fetch-add, one clock read, and a handful of atomic stores
-// each); when the ring wraps, the oldest spans are overwritten and a late
-// End for an overwritten span is dropped. A nil *SpanTracer drops all
-// spans, so span calls are free to leave in place unconditionally.
+// the engine's one flight recorder: commit trees, checkpoint trees
+// (segment flushes, log compaction), and recovery trees. Point facts
+// such as a transaction abort are zero-length spans (Begin then End).
+// Begin/End are wait-free (one ticket fetch-add, one clock read, and a
+// handful of atomic stores each); when the ring wraps, the oldest spans
+// are overwritten and a late End for an overwritten span is dropped. A
+// nil *SpanTracer drops all spans, so span calls are free to leave in
+// place unconditionally.
 type SpanTracer struct {
 	mask        uint64
 	sampleEvery uint64

@@ -83,7 +83,8 @@ func TestSpanInFlightSkipped(t *testing.T) {
 }
 
 // TestSpanWraparoundDropsLateEnd: once the ring wraps past a span's slot,
-// its End is dropped instead of corrupting the new occupant.
+// its End is dropped instead of corrupting the new occupant, and exactly
+// the newest capacity spans remain, in begin order.
 func TestSpanWraparoundDropsLateEnd(t *testing.T) {
 	const capacity = 16
 	st := NewSpanTracer(capacity, 1)
@@ -93,13 +94,14 @@ func TestSpanWraparoundDropsLateEnd(t *testing.T) {
 		st.End(id)
 	}
 	st.End(old) // late End for a reclaimed slot
-	for _, sp := range st.Dump() {
-		if sp.A == 999 {
-			t.Fatalf("overwritten span resurfaced: %+v", sp)
-		}
+	spans := st.Dump()
+	if len(spans) != capacity {
+		t.Fatalf("got %d spans after wrap, want %d", len(spans), capacity)
 	}
-	if got := len(st.Dump()); got != capacity {
-		t.Fatalf("got %d spans after wrap, want %d", got, capacity)
+	for i, sp := range spans {
+		if sp.Seq != uint64(i+1) || sp.A != uint64(i) {
+			t.Fatalf("span %d after wrap: seq=%d a=%d, want seq=%d a=%d", i, sp.Seq, sp.A, i+1, i)
+		}
 	}
 }
 
@@ -142,6 +144,40 @@ func TestSpanConcurrent(t *testing.T) {
 	}
 }
 
+// TestSpanSeqPayloadConsistency: one writer wraps a small ring while a
+// reader dumps, stamping each span's A with its own ticket. A dumped
+// span whose payload disagrees with its Seq would be a torn read mixing
+// two generations of one slot.
+func TestSpanSeqPayloadConsistency(t *testing.T) {
+	st := NewSpanTracer(32, 1)
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			ticket := st.head.Load() // the sole writer's next ticket
+			st.End(st.Begin(SpanCommit, SpanNone, ticket, 0))
+		}
+	}()
+	for i := 0; i < 20000; i++ {
+		for _, sp := range st.Dump() {
+			if sp.A != sp.Seq {
+				close(done)
+				wg.Wait()
+				t.Fatalf("torn span: seq=%d payload=%d", sp.Seq, sp.A)
+			}
+		}
+	}
+	close(done)
+	wg.Wait()
+}
+
 // TestNilSpanTracer: nil receivers are safe no-ops everywhere.
 func TestNilSpanTracer(t *testing.T) {
 	var st *SpanTracer
@@ -164,7 +200,7 @@ func TestSpanKindString(t *testing.T) {
 		SpanGroupCommitFlush, SpanCOUCopy, SpanZigzagFlip, SpanHourglassStall,
 		SpanTwoColorRestart, SpanCheckpoint, SpanCkptQuiesce, SpanCkptSegment,
 		SpanLSNWait, SpanRecovery, SpanRecBackupLoad, SpanRecLogScan,
-		SpanRecRedoApply}
+		SpanRecRedoApply, SpanTxnAbort, SpanLogCompact}
 	seen := map[string]bool{}
 	for _, k := range kinds {
 		s := k.String()

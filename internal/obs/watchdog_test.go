@@ -52,6 +52,17 @@ func TestWatchdogTrip(t *testing.T) {
 			t.Fatalf("unrelated span leaked into the tree dump: %+v", sp)
 		}
 	}
+
+	// SlowOps lists trips oldest first, not slowest first: a slower
+	// commit tripping second comes back second.
+	for time.Now().UnixNano() <= op.Nanos {
+		time.Sleep(time.Microsecond) // distinct trip stamps on coarse clocks
+	}
+	wd.Check(WatchCommit, root, int64(3*time.Millisecond))
+	ops = wd.SlowOps()
+	if len(ops) != 2 || ops[0].Dur != int64(2*time.Millisecond) || ops[1].Dur != int64(3*time.Millisecond) {
+		t.Fatalf("slow ops not in trip order: %+v", ops)
+	}
 }
 
 // TestWatchdogDisabled: zero thresholds never trip, and unsampled roots

@@ -52,7 +52,7 @@ func TestOpLatencyMetrics(t *testing.T) {
 	}
 }
 
-// TestStatsRaceWithOps hammers Stats and TraceEvents from the kvstore
+// TestStatsRaceWithOps hammers Stats and the span ring from the kvstore
 // layer while operations run; meaningful under -race (the race gate
 // includes ./kvstore/...).
 func TestStatsRaceWithOps(t *testing.T) {
@@ -82,6 +82,6 @@ func TestStatsRaceWithOps(t *testing.T) {
 		}
 		_ = s.EngineStats()
 		_ = s.DB().MetricsRegistry().Gather()
-		_ = s.DB().TraceEvents()
+		_ = s.DB().Spans()
 	}
 }

@@ -66,7 +66,9 @@ func TestRepoRootsAnnotated(t *testing.T) {
 		"mmdb/internal/lockmgr.Manager.ReleaseAll",
 		"mmdb/internal/obs.Histogram.Observe",
 		"mmdb/internal/obs.Histogram.ObserveSince",
-		"mmdb/internal/obs.Tracer.Record",
+		"mmdb/internal/obs.SpanTracer.BeginSampled",
+		"mmdb/internal/obs.SpanTracer.Begin",
+		"mmdb/internal/obs.SpanTracer.End",
 		"mmdb.DB.ExecWrite",
 		"mmdb.DB.ReadRecordInto",
 		"mmdb/kvstore.Local.Get",

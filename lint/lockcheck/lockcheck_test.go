@@ -11,7 +11,7 @@ import (
 // lockcheck:held, nolint), the branch-merge semantics that keep
 // unlock-and-return idioms quiet, and cross-package fact propagation
 // (package b violates an annotation declared in package a). The
-// tracering package mirrors internal/obs.Tracer's atomic-only ring
+// tracering package mirrors internal/obs.SpanTracer's atomic-only ring
 // buffer: atomics carry no guard annotations, so the ring itself must
 // produce no diagnostics (its mutexRing contrast proves the package is
 // analyzed, not skipped).

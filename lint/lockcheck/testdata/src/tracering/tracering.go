@@ -1,6 +1,6 @@
-// Package tracering mirrors internal/obs.Tracer: a bounded multi-
-// producer ring buffer whose every field is atomic. It proves the
-// tracer's shape is correctly exempt from guarded_by checking — atomics
+// Package tracering mirrors internal/obs.SpanTracer: a bounded multi-
+// producer ring buffer whose every field is atomic. It proves the span
+// ring's shape is correctly exempt from guarded_by checking — atomics
 // need no guard annotations, so the ring produces no diagnostics —
 // while the mutexRing contrast below shows the analyzer is genuinely
 // looking at this package.
@@ -12,7 +12,7 @@ import (
 )
 
 // slot is one ring entry; the claim/done generation stamps bracket the
-// payload stores exactly as internal/obs.traceSlot does.
+// payload stores exactly as internal/obs.spanSlot does.
 type slot struct {
 	claim atomic.Uint64
 	kind  atomic.Uint64

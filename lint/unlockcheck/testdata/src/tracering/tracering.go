@@ -1,4 +1,4 @@
-// Package tracering mirrors internal/obs.Tracer for unlockcheck: the
+// Package tracering mirrors internal/obs.SpanTracer for unlockcheck: the
 // ring buffer is atomic-only, so there are no acquisitions to balance
 // and the analyzer must stay silent on it. The mutexRing contrast
 // leaks a lock on one path, proving the package is really analyzed.

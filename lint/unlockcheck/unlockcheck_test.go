@@ -14,7 +14,7 @@ import (
 //     TryLock, wait-loop relocking, and the held exemption;
 //   - unlockuse: the cross-package facts case — Acquire/Release wrappers
 //     declared in unlockdep balance call sites here;
-//   - tracering: internal/obs.Tracer's atomic-only ring buffer shape,
+//   - tracering: internal/obs.SpanTracer's atomic-only ring buffer shape,
 //     which has no acquisitions to balance and must stay silent (its
 //     mutexRing contrast proves the package is really analyzed).
 func TestUnlockcheck(t *testing.T) {

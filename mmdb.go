@@ -248,47 +248,42 @@ func (db *DB) Stats() Stats { return db.e.Stats() }
 
 // Observability types, re-exported from the internal obs package: the
 // per-database metrics registry (atomic counters, gauges, and lock-free
-// latency histograms), the lifecycle-event records its tracer dumps, the
-// causal latency-attribution spans, and the watchdog's slow-op captures.
+// latency histograms), the spans of the flight-recorder ring, and the
+// watchdog's slow-op captures.
 type (
 	MetricsRegistry = obs.Registry
-	TraceEvent      = obs.Event
 	Span            = obs.Span
 	SlowOp          = obs.SlowOp
 )
 
 // Metrics returns an http.Handler serving the database's metrics:
 // Prometheus text format by default, JSON with ?format=json (add
-// &events=1 for the lifecycle-event ring, &spans=1 for the span ring,
-// &slow=1 for watchdog captures), and Chrome trace-event JSON with
-// ?format=chrome (load it in chrome://tracing or Perfetto). Mount it on
-// any mux, e.g. http.Handle("/metrics", db.Metrics()).
+// &spans=1 for the span ring, &slow=1 for watchdog captures), and the
+// span ring as Chrome trace-event JSON with ?format=chrome (load it in
+// chrome://tracing or Perfetto). Mount it on any mux, e.g.
+// http.Handle("/metrics", db.Metrics()).
 func (db *DB) Metrics() http.Handler {
-	return obs.Handler(db.e.MetricsRegistry(), db.e.Tracer(), db.e.Spans(), db.e.Watchdog())
+	return obs.Handler(db.e.MetricsRegistry(), db.e.Spans(), db.e.Watchdog())
 }
 
-// Spans dumps the completed latency-attribution spans currently retained
-// by the engine's span ring: sampled commit trees (lock-wait, WAL-append,
-// group-commit-flush, and checkpoint-interference phases) plus every
-// checkpoint and recovery tree, oldest first.
+// Spans dumps the completed spans currently retained by the engine's
+// span ring, the database's flight recorder: sampled commit trees
+// (lock-wait, WAL-append, group-commit-flush, checkpoint-interference,
+// two-color-restart and abort phases) plus every checkpoint tree (segment
+// flushes, log compaction) and recovery tree, oldest first. Cheap enough
+// to call for postmortems on a live database.
 func (db *DB) Spans() []Span { return db.e.SpanEvents() }
 
 // SlowOps returns the slow-op watchdog's retained captures — operations
 // that exceeded their configured threshold, each with the offending span
-// tree — slowest first. Empty unless SlowOpCommitThreshold or
-// SlowOpCheckpointThreshold is set.
+// tree — oldest first, in trip order. Empty unless SlowOpCommitThreshold
+// or SlowOpCheckpointThreshold is set.
 func (db *DB) SlowOps() []SlowOp { return db.e.SlowOps() }
 
 // MetricsRegistry returns the database's metrics registry. Callers may
 // register their own mmdb_-prefixed metrics alongside the engine's
 // (kvstore registers its operation latencies here).
 func (db *DB) MetricsRegistry() *MetricsRegistry { return db.e.MetricsRegistry() }
-
-// TraceEvents dumps the lifecycle events currently retained by the
-// engine's bounded tracer (transaction begin/commit/abort/restart,
-// checkpoint begin/segment/end, compaction, recovery phases), oldest
-// first. Cheap enough to call for postmortems on a live database.
-func (db *DB) TraceEvents() []TraceEvent { return db.e.TraceEvents() }
 
 // MeasuredCounts converts the database's activity counters into the
 // analytic model's Counts, for pricing a live run in the paper's
