@@ -28,7 +28,7 @@ vet:
 # oracle, plus the 1-vs-4-worker oracles (recovered images, backup
 # copies), under the race detector. The -tags slow soak
 # (TestCrashMatrixSoak) multiplies seeds and workload length.
-CRASHMATRIX_RUN := TestCrash|TestCommitInDoubt|TestRecoveryParallelEquivalence|TestSerialVsParallelRecoveryEquivalence|TestBackupImageEquivalence
+CRASHMATRIX_RUN := TestCrash|TestCommitInDoubt|TestRecoveryOneVsFourWorkers|TestEngineRecoveryOneVsFourWorkers|TestBackupImageEquivalence
 crashmatrix:
 	$(GO) test -race -run '$(CRASHMATRIX_RUN)' ./internal/testbed/ ./internal/engine/ ./kvstore/
 
@@ -36,14 +36,19 @@ crashmatrix:
 # with an end-of-run crash, each run with 1 and with 4 checkpoint/recovery
 # workers, writing the schema'd measured-vs-analytic result file (commit
 # latency quantiles, per-phase recovery times, the 4-vs-1-worker
-# comparison, and the run priced against the paper's model). CI uploads the file as an artifact. Tune BENCH_TXNS for a
-# longer run, BENCH_PARALLEL for other pool widths.
+# comparison, and the run priced against the paper's model). A 4-shard
+# loopback run follows, then the paper's Section 5 model verification:
+# all eight algorithms under a paced 400 txn/s load with checkpoint
+# writes throttled by the Table 2b disk model (20x faster), each priced
+# against the model at that disk. CI uploads the file as an artifact.
+# Tune BENCH_TXNS for a longer run, BENCH_PARALLEL for other pool widths.
 BENCH_TXNS ?= 20000
 BENCH_PARALLEL ?= 1,4
 BENCH_SHARDS ?= 4
 bench:
 	$(GO) run ./cmd/ckptbench -matrix -crash -txns $(BENCH_TXNS) -parallel $(BENCH_PARALLEL) -json BENCH_ckpt.json
 	$(GO) run ./cmd/ckptbench -shards $(BENCH_SHARDS) -crash -txns $(BENCH_TXNS) -append -json BENCH_ckpt.json
+	$(GO) run ./cmd/ckptbench -matrix -throttle -speedup 20 -tps 400 -append -json BENCH_ckpt.json
 
 # A traced run: one synchronous-commit workload with every commit traced
 # (SpanSampleEvery=1), exporting the flight recorder's span ring as

@@ -8,11 +8,21 @@
 // the paper's instructions-per-transaction metric next to the model's
 // prediction for the same operating point.
 //
+// With -throttle the run is also the paper's Section 5 testbed: the
+// checkpointer's segment writes are paced by the Table 2b disk model
+// (each worker one disk stream, the delays divided by -speedup), and the
+// model is priced at that same scaled disk, the achieved arrival rate and
+// the measured checkpoint interval, so measured active checkpoint time,
+// segments per checkpoint, p_restart and instructions per transaction
+// verify the model's processor-overhead and checkpoint-duration
+// arithmetic side by side.
+//
 // Example:
 //
 //	ckptbench -alg 2CCOPY -records 65536 -txns 20000 -writers 4 -crash
 //	ckptbench -matrix -crash -json BENCH_ckpt.json   # all eight algorithms
 //	ckptbench -alg COUCOPY -parallel 1,4 -throttle -crash   # 1- vs 4-worker pipeline
+//	ckptbench -matrix -throttle -speedup 20 -tps 400        # §5 testbed: live engine vs model
 //	ckptbench -alg COUCOPY -metrics :6060            # mmdbctl stats -addr http://localhost:6060/metrics
 //	ckptbench -shards 4 -crash -append -json BENCH_ckpt.json  # sharded, through a loopback mmdbd
 //	ckptbench -shards 4 -addr db0:7070               # against an already-running mmdbd
@@ -24,8 +34,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -60,7 +72,7 @@ var (
 	dirFlag  = flag.String("dir", "", "database directory (default: a temp dir)")
 	seed     = flag.Int64("seed", 1, "workload seed")
 	parallel = flag.String("parallel", "1", "comma-separated checkpoint/recovery worker counts; each algorithm runs once per count")
-	throttle = flag.Bool("throttle", false, "pace checkpoint segment writes with the paper's disk model, one stream per worker")
+	throttle = flag.Bool("throttle", false, "pace checkpoint segment writes with the paper's disk model, one stream per worker, and price the model at that disk")
 	speedup  = flag.Float64("speedup", 0, "divide the modeled throttle delays by this factor (0 = engine default)")
 	jsonPath = flag.String("json", "", "write the machine-readable result file here")
 	appendTo = flag.Bool("append", false, "with -json: keep the existing file's runs and append this invocation's (the schema is upgraded in place)")
@@ -71,10 +83,12 @@ var (
 // ResultSchema identifies the -json file layout. v2 added the
 // "parallelism" config echo and "avg_checkpoint_seconds"; v3 added the
 // per-phase commit "attribution" breakdown from the mmdb_commit_attr_*
-// histograms; v4 adds the "sharded_runs" block (-shards: per-shard
-// engine stats, an aggregate, and fleet recovery times) — "runs"
-// entries are unchanged from v3.
-const ResultSchema = "mmdb/ckptbench/v4"
+// histograms; v4 added the "sharded_runs" block (-shards: per-shard
+// engine stats, an aggregate, and fleet recovery times); v5 adds the
+// "throttle_speedup" config echo and the measured and predicted active
+// checkpoint seconds to "analytic". Every field v5 adds is optional, so
+// -append reads v2–v4 files unchanged.
+const ResultSchema = "mmdb/ckptbench/v5"
 
 // BenchFile is the top-level -json document.
 type BenchFile struct {
@@ -129,6 +143,9 @@ type BenchConfig struct {
 	// worker count the run used (1 = one worker, the serial case).
 	Parallelism int  `json:"parallelism"`
 	Throttled   bool `json:"throttled"`
+	// ThrottleSpeedup is the factor the throttle divided the disk-model
+	// delays by (throttled runs only).
+	ThrottleSpeedup float64 `json:"throttle_speedup,omitempty"`
 }
 
 // RecoveryJSON reports the timed crash-recovery phases (-crash only).
@@ -146,7 +163,8 @@ type RecoveryJSON struct {
 // AnalyticJSON compares the run's measured cost against the paper's
 // analytic model evaluated at the same operating point (same geometry and
 // per-transaction update count, arrival rate taken from the measured
-// throughput).
+// throughput; with -throttle also the throttled disk and the measured
+// checkpoint interval, see modelParams).
 type AnalyticJSON struct {
 	MeasuredOverheadPerTxn  float64 `json:"measured_overhead_per_txn"`
 	MeasuredSyncPerTxn      float64 `json:"measured_sync_per_txn"`
@@ -160,6 +178,12 @@ type AnalyticJSON struct {
 	PredictedRecoverySecs   float64 `json:"predicted_recovery_seconds"`
 	PredictedSegsPerCkpt    float64 `json:"predicted_segments_per_checkpoint"`
 	MeasuredSegsPerCkpt     float64 `json:"measured_segments_per_checkpoint"`
+	// MeasuredActiveCkptSecs is one worker's segment write time per
+	// checkpoint (the checkpoint_segment histogram's sum, which includes
+	// the throttle's pacing, ÷ checkpoints ÷ workers), the live
+	// counterpart of the model's active checkpoint time.
+	MeasuredActiveCkptSecs  float64 `json:"measured_active_checkpoint_seconds"`
+	PredictedActiveCkptSecs float64 `json:"predicted_active_checkpoint_seconds"`
 }
 
 // latencyHists maps the -json latency keys to registry histogram names.
@@ -382,11 +406,10 @@ func run(algName string, par int) (*BenchResult, error) {
 
 		CheckpointParallelism: par,
 		RecoveryParallelism:   par,
-		// Per-stream throttling charges each worker the full per-device
-		// service time, so the K-worker pipeline shows the disk-model
-		// speedup even on few-core hosts (the sleeps overlap).
+		// The throttle charges each worker the full per-device service
+		// time, so the K-worker pipeline shows the disk-model speedup
+		// even on few-core hosts (the sleeps overlap).
 		ThrottleCheckpointIO: *throttle,
-		ThrottlePerStream:    *throttle,
 		ThrottleSpeedup:      *speedup,
 	}
 	if *traceOut != "" {
@@ -406,55 +429,43 @@ func run(algName string, par int) (*BenchResult, error) {
 		*txns, *updates, *writers, map[bool]string{true: "zipf", false: "uniform"}[*zipfS > 1], par)
 
 	var done atomic.Int64
-	var wg sync.WaitGroup
 	start := time.Now()
-	for w := 0; w < *writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var gen workload.Generator
-			var gerr error
-			if *zipfS > 1 {
-				gen, gerr = workload.NewZipf(*records, *updates, *recBytes, *zipfS, *seed+int64(w))
-			} else {
-				gen, gerr = workload.NewUniform(*records, *updates, *recBytes, *seed+int64(w))
+	werr := runWriters(*writers, func(w int) error {
+		gen, err := newGenerator(*records, *recBytes, w)
+		if err != nil {
+			return err
+		}
+		var pacer *workload.Pacer
+		if *tps > 0 {
+			if pacer, err = workload.NewPacer(*tps/float64(*writers), true, *seed+100+int64(w)); err != nil {
+				return err
 			}
-			if gerr != nil {
-				fmt.Fprintln(os.Stderr, "ckptbench:", gerr)
-				return
+		}
+		for i := writerTxns(*txns, *writers, w); i > 0; i-- {
+			if pacer != nil {
+				pacer.Wait()
 			}
-			var pacer *workload.Pacer
-			if *tps > 0 {
-				pacer, gerr = workload.NewPacer(*tps/float64(*writers), true, *seed+100+int64(w))
-				if gerr != nil {
-					fmt.Fprintln(os.Stderr, "ckptbench:", gerr)
-					return
-				}
-			}
-			for i := writerTxns(*txns, *writers, w); i > 0; i-- {
-				if pacer != nil {
-					pacer.Wait()
-				}
-				spec := gen.Next()
-				err := db.Exec(func(tx *mmdb.Txn) error {
-					for _, u := range spec.Updates {
-						if err := tx.Write(u.Record, u.Value); err != nil {
-							return err
-						}
+			spec := gen.Next()
+			err := db.Exec(func(tx *mmdb.Txn) error {
+				for _, u := range spec.Updates {
+					if err := tx.Write(u.Record, u.Value); err != nil {
+						return err
 					}
-					return nil
-				})
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "ckptbench: txn:", err)
-					return
 				}
-				done.Add(1)
+				return nil
+			})
+			if err != nil {
+				return err
 			}
-		}(w)
-	}
-	wg.Wait()
+			done.Add(1)
+		}
+		return nil
+	})
 	elapsed := time.Since(start)
 	db.StopCheckpointLoop()
+	if werr != nil {
+		return nil, errors.Join(werr, db.Close())
+	}
 
 	st := db.Stats()
 	tput := float64(done.Load()) / elapsed.Seconds()
@@ -482,7 +493,7 @@ func run(algName string, par int) (*BenchResult, error) {
 			IntervalSeconds: interval.Seconds(),
 			Full:            *full, StableTail: cfg.StableLogTail, SyncCommit: *syncCmt,
 			ZipfS: *zipfS, Seed: *seed,
-			Parallelism: par, Throttled: *throttle,
+			Parallelism: par, Throttled: *throttle, ThrottleSpeedup: throttleSpeedup(),
 		},
 		ElapsedSeconds: elapsed.Seconds(),
 		AvgCkptSeconds: avgCkpt(st).Seconds(),
@@ -534,13 +545,15 @@ func run(algName string, par int) (*BenchResult, error) {
 		fmt.Printf("wrote Chrome trace to %s\n", path)
 	}
 
-	res.Analytic = priceRun(db, st, alg, tput)
+	res.Analytic = priceRun(db, st, alg, tput, par, res.Latency["checkpoint_segment"].Sum)
 	if a := res.Analytic; a != nil {
 		fmt.Printf("overhead instr/txn: measured %.0f (sync %.0f + async %.0f) vs predicted %.0f (sync %.0f + async %.0f)\n",
 			a.MeasuredOverheadPerTxn, a.MeasuredSyncPerTxn, a.MeasuredAsyncPerTxn,
 			a.PredictedOverheadPerTxn, a.PredictedSyncPerTxn, a.PredictedAsyncPerTxn)
 		fmt.Printf("p_restart: measured %.4f vs predicted %.4f; predicted recovery %.2fs\n",
 			a.MeasuredPRestart, a.PredictedPRestart, a.PredictedRecoverySecs)
+		fmt.Printf("active checkpoint: measured %.4fs vs predicted %.4fs; segments/ckpt measured %.1f vs predicted %.1f\n",
+			a.MeasuredActiveCkptSecs, a.PredictedActiveCkptSecs, a.MeasuredSegsPerCkpt, a.PredictedSegsPerCkpt)
 	}
 
 	if !*crash {
@@ -606,7 +619,37 @@ func writeTrace(path string, db *mmdb.DB) error {
 	return werr
 }
 
-// effSegBytes resolves the segment-size default the engine applies.
+// runWriters runs fn for writers 0..n-1 concurrently, waits for all of
+// them, and returns the error of the lowest-numbered writer that failed.
+func runWriters(n int, fn func(w int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		// goleak:joins wg.Wait below
+		go func(w int) {
+			defer wg.Done()
+			errs[w] = fn(w)
+		}(w)
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			return fmt.Errorf("writer %d: %w", w, err)
+		}
+	}
+	return nil
+}
+
+// newGenerator builds writer w's transaction generator over n records
+// with valBytes-byte values: Zipf-skewed with -zipf > 1, else uniform.
+func newGenerator(n, valBytes, w int) (workload.Generator, error) {
+	if *zipfS > 1 {
+		return workload.NewZipf(n, *updates, valBytes, *zipfS, *seed+int64(w))
+	}
+	return workload.NewUniform(n, *updates, valBytes, *seed+int64(w))
+}
+
 // writerTxns is writer w's share of txns transactions split across
 // writers: the first txns % writers writers run one extra, so the shares
 // sum to txns exactly.
@@ -618,6 +661,7 @@ func writerTxns(txns, writers, w int) int {
 	return n
 }
 
+// effSegBytes resolves the segment-size default the engine applies.
 func effSegBytes() int {
 	if *segBytes != 0 {
 		return *segBytes
@@ -625,12 +669,27 @@ func effSegBytes() int {
 	return *recBytes * mmdb.DefaultRecordsPerSegment
 }
 
-// priceRun prices the run two ways: measured (the engine's activity
-// counters priced with the paper's cost constants) and predicted (the
-// analytic model evaluated at the run's geometry with the measured
-// throughput as the arrival rate). Nil when the model rejects the
-// operating point (e.g. a degenerate geometry).
-func priceRun(db *mmdb.DB, st mmdb.Stats, alg mmdb.Algorithm, tput float64) *AnalyticJSON {
+// throttleSpeedup is the factor the checkpoint throttle divides the
+// disk-model delays by: -speedup, with the engine's default of 1 for 0,
+// or 0 for an unthrottled run.
+func throttleSpeedup() float64 {
+	switch {
+	case !*throttle:
+		return 0
+	case *speedup == 0:
+		return 1
+	}
+	return *speedup
+}
+
+// modelParams maps the run onto the analytic model: sizes in words, the
+// per-transaction update count, and the achieved throughput as the
+// arrival rate (pacing sheds backlog when the host cannot hold -tps).
+// With -throttle the disk is the one the engine was paced with: Table
+// 2b's times divided by the speedup, and one disk per checkpoint worker
+// (each worker is one synchronous stream), so the model's FlushRate is
+// the throttle's real rate. The scaled sweep has no one-second floor.
+func modelParams(par int, tput float64) analytic.Params {
 	p := analytic.DefaultParams()
 	p.SRec = float64(*recBytes) / 4
 	p.SSeg = float64(effSegBytes()) / 4
@@ -639,6 +698,25 @@ func priceRun(db *mmdb.DB, st mmdb.Stats, alg mmdb.Algorithm, tput float64) *Ana
 	if tput > 0 {
 		p.Lambda = tput
 	}
+	if *throttle {
+		p.TSeek /= throttleSpeedup()
+		p.TTrans /= throttleSpeedup()
+		p.NDisks = float64(par)
+		p.MinCheckpointSeconds = 1e-3
+	}
+	return p
+}
+
+// priceRun prices the run two ways: measured (the engine's activity
+// counters priced with the paper's cost constants, and the active
+// checkpoint time read off segSeconds, the checkpoint_segment
+// histogram's sum) and predicted (the analytic model evaluated at
+// modelParams). A throttled run is priced at its measured checkpoint
+// interval and with correlated retries, because the live engine re-runs
+// an aborted transaction at once with the same records. Nil when the
+// model rejects the operating point (e.g. a degenerate geometry).
+func priceRun(db *mmdb.DB, st mmdb.Stats, alg mmdb.Algorithm, tput float64, par int, segSeconds float64) *AnalyticJSON {
+	p := modelParams(par, tput)
 	mPerTxn, mSync, mAsync, err := analytic.MeasuredOverhead(p, db.MeasuredCounts())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ckptbench: measured pricing:", err)
@@ -652,13 +730,21 @@ func priceRun(db *mmdb.DB, st mmdb.Stats, alg mmdb.Algorithm, tput float64) *Ana
 	}
 	if st.Checkpoints > 0 {
 		a.MeasuredSegsPerCkpt = float64(st.SegmentsFlushed) / float64(st.Checkpoints)
+		a.MeasuredActiveCkptSecs = segSeconds / float64(st.Checkpoints) / float64(par)
 	}
-	pred, err := analytic.Evaluate(p, analytic.Options{
+	opts := analytic.Options{
 		Algorithm:       alg,
 		Full:            *full,
 		StableTail:      *stable || alg == mmdb.FastFuzzy,
 		IntervalSeconds: interval.Seconds(),
-	})
+	}
+	if *throttle {
+		// Begin-to-begin: the longer of -interval and the mean checkpoint
+		// duration the throttled sweep actually took.
+		opts.IntervalSeconds = math.Max(opts.IntervalSeconds, avgCkpt(st).Seconds())
+		opts.Retry = analytic.CorrelatedRetries
+	}
+	pred, err := analytic.Evaluate(p, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ckptbench: analytic model:", err)
 		return a
@@ -669,6 +755,7 @@ func priceRun(db *mmdb.DB, st mmdb.Stats, alg mmdb.Algorithm, tput float64) *Ana
 	a.PredictedPRestart = pred.PRestart
 	a.PredictedRecoverySecs = pred.RecoverySeconds
 	a.PredictedSegsPerCkpt = pred.SegmentsPerCheckpoint
+	a.PredictedActiveCkptSecs = pred.ActiveSeconds
 	return a
 }
 

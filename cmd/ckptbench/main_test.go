@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"flag"
+	"os"
+	"path/filepath"
+	"testing"
+)
 
 // TestWriterTxnsSumToTotal: the per-writer shares cover every requested
 // transaction, differ by at most one, and go to the first writers.
@@ -22,22 +27,31 @@ func TestWriterTxnsSumToTotal(t *testing.T) {
 	}
 }
 
-// setFlags points the benchmark's flags at a small run with a
-// transaction count the writer count does not divide, restoring them
-// when the test ends.
-func setFlags(t *testing.T) {
+// setFlags sets the named benchmark flags for one test, restoring their
+// previous values when the test ends.
+func setFlags(t *testing.T, vals map[string]string) {
 	t.Helper()
-	oldTxns, oldWriters, oldRecords, oldShards := *txns, *writers, *records, *shardsFlag
-	t.Cleanup(func() {
-		*txns, *writers, *records, *shardsFlag = oldTxns, oldWriters, oldRecords, oldShards
-	})
-	*txns, *writers, *records = 301, 32, 4096
+	for name, v := range vals {
+		f := flag.Lookup(name)
+		if f == nil {
+			t.Fatalf("no flag -%s", name)
+		}
+		old := f.Value.String()
+		t.Cleanup(func() { f.Value.Set(old) }) //nolint:errcheck // restores a value the flag printed
+		if err := f.Value.Set(v); err != nil {
+			t.Fatalf("-%s %s: %v", name, v, err)
+		}
+	}
 }
+
+// smallRun is a small run with a transaction count the writer count
+// does not divide.
+var smallRun = map[string]string{"txns": "301", "writers": "32", "records": "4096"}
 
 // TestCommittedEqualsTxns runs the single-engine benchmark and requires
 // it to commit exactly -txns transactions.
 func TestCommittedEqualsTxns(t *testing.T) {
-	setFlags(t)
+	setFlags(t, smallRun)
 	res, err := run("COUCOPY", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -50,13 +64,130 @@ func TestCommittedEqualsTxns(t *testing.T) {
 // TestShardedCommittedEqualsTxns is the same check for the sharded run
 // through the loopback network stack: -txns client batches commit.
 func TestShardedCommittedEqualsTxns(t *testing.T) {
-	setFlags(t)
-	*shardsFlag = 2
+	setFlags(t, smallRun)
+	setFlags(t, map[string]string{"shards": "2"})
 	res, err := runSharded()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Batches != uint64(*txns) {
 		t.Fatalf("committed %d batches, -txns %d", res.Batches, *txns)
+	}
+}
+
+// TestWriterErrorFailsRun: a writer that cannot run its transactions
+// (here: more distinct updates per transaction than records) fails the
+// whole run in both modes instead of reporting a short count.
+func TestWriterErrorFailsRun(t *testing.T) {
+	for _, mode := range []struct{ name, shards string }{
+		{"single", "0"}, {"sharded", "2"},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			setFlags(t, map[string]string{
+				"records": "256", "updates": "300", "txns": "100", "writers": "2",
+				"shards": mode.shards,
+			})
+			var err error
+			if *shardsFlag > 0 {
+				_, err = runSharded()
+			} else {
+				_, err = run("COUCOPY", 1)
+			}
+			if err == nil {
+				t.Fatal("run with failing writers returned no error")
+			}
+		})
+	}
+}
+
+// TestModelParamsMapping: a throttled run is priced at the disk the
+// engine was paced with — sizes in words, the Table 2b times divided by
+// the speedup, one disk per checkpoint worker — and the mapped
+// parameters are valid.
+func TestModelParamsMapping(t *testing.T) {
+	setFlags(t, map[string]string{
+		"records": "16384", "recbytes": "128", "segbytes": "32768",
+		"updates": "5", "throttle": "true", "speedup": "10",
+	})
+	p := modelParams(4, 500)
+	if p.SDB != float64(1<<14*128)/4 {
+		t.Errorf("SDB = %v", p.SDB)
+	}
+	if p.SSeg != 8192 || p.SRec != 32 {
+		t.Errorf("SSeg/SRec = %v/%v", p.SSeg, p.SRec)
+	}
+	if p.TSeek != 0.003 || p.TTrans != 3e-7 {
+		t.Errorf("TSeek/TTrans = %v/%v (speedup not applied)", p.TSeek, p.TTrans)
+	}
+	if p.NDisks != 4 {
+		t.Errorf("NDisks = %v, want one per worker", p.NDisks)
+	}
+	if p.Lambda != 500 || p.NRU != 5 {
+		t.Errorf("Lambda/NRU = %v/%v", p.Lambda, p.NRU)
+	}
+	if err := p.Validate(); err != nil {
+		t.Errorf("mapped params invalid: %v", err)
+	}
+}
+
+// TestRunAgreesLoosely executes a short paced, throttled COUCOPY run at
+// one and at four checkpoint workers and requires the live measurements
+// to land within a loose factor of the model's prediction — the smoke
+// test of the paper's Section 5 model-verification goal.
+func TestRunAgreesLoosely(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock paced run")
+	}
+	for _, par := range []int{1, 4} {
+		t.Run(map[int]string{1: "workers=1", 4: "workers=4"}[par], func(t *testing.T) {
+			setFlags(t, map[string]string{
+				"records": "8192", "recbytes": "128", "tps": "400", "txns": "600",
+				"writers": "2", "throttle": "true", "speedup": "2", "seed": "1",
+			})
+			res, err := run("COUCOPY", par)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := res.Analytic
+			if res.Checkpoints == 0 || res.TxnsPerSecond <= 0 || a == nil || a.PredictedOverheadPerTxn <= 0 {
+				t.Fatalf("no activity or no prediction: %+v", res)
+			}
+			within := func(name string, got, want float64) {
+				const factor = 3
+				if got > want*factor || got < want/factor {
+					t.Errorf("%s: measured %.4f vs model %.4f (beyond %dx)", name, got, want, factor)
+				}
+			}
+			within("segments/ckpt", a.MeasuredSegsPerCkpt, a.PredictedSegsPerCkpt)
+			within("active ckpt secs", a.MeasuredActiveCkptSecs, a.PredictedActiveCkptSecs)
+			within("instr/txn", a.MeasuredOverheadPerTxn, a.PredictedOverheadPerTxn)
+			if a.MeasuredPRestart != 0 {
+				t.Errorf("COUCOPY restarted transactions: %v", a.MeasuredPRestart)
+			}
+		})
+	}
+}
+
+// TestAppendReadsV4: -append keeps the runs of a file written under the
+// previous schema.
+func TestAppendReadsV4(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bench.json")
+	v4 := `{"schema": "mmdb/ckptbench/v4", "runs": [{"algorithm": "COUCOPY",
+		"config": {"parallelism": 4, "throttled": true},
+		"analytic": {"measured_overhead_per_txn": 900}}],
+		"sharded_runs": [{"mode": "loopback", "shards": 4}]}`
+	if err := os.WriteFile(path, []byte(v4), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	file, err := loadBenchFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(file.Runs) != 1 || len(file.ShardedRuns) != 1 {
+		t.Fatalf("loaded %d runs, %d sharded", len(file.Runs), len(file.ShardedRuns))
+	}
+	r := file.Runs[0]
+	if r.Algorithm != "COUCOPY" || r.Config.Parallelism != 4 || r.Analytic.MeasuredOverheadPerTxn != 900 {
+		t.Errorf("run not preserved: %+v", r)
 	}
 }

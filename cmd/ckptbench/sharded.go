@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -22,7 +21,6 @@ import (
 	"mmdb/internal/server"
 	"mmdb/internal/shard"
 	"mmdb/kvstore"
-	"mmdb/workload"
 )
 
 var (
@@ -108,7 +106,7 @@ func runSharded() (*ShardedResult, error) {
 			Txns: *txns, UpdatesPerTxn: *updates, Writers: *writers,
 			IntervalSeconds: interval.Seconds(),
 			SyncCommit:      *syncCmt, ZipfS: *zipfS, Seed: *seed,
-			Parallelism: 1,
+			Parallelism: 1, Throttled: *throttle, ThrottleSpeedup: throttleSpeedup(),
 		},
 	}
 
@@ -155,7 +153,6 @@ func runSharded() (*ShardedResult, error) {
 			AutoCheckpoint:       true,
 			Shards:               *shardsFlag,
 			ThrottleCheckpointIO: *throttle,
-			ThrottlePerStream:    *throttle,
 			ThrottleSpeedup:      *speedup,
 		}
 		r, _, err := shard.Open(context.Background(), cfg)
@@ -204,44 +201,33 @@ func runSharded() (*ShardedResult, error) {
 
 	ctx := context.Background()
 	var batches, ops atomic.Uint64
-	var wg sync.WaitGroup
 	start := time.Now()
-	for w := 0; w < *writers; w++ {
-		wg.Add(1)
-		// goleak:joins wg.Wait below
-		go func(w int) {
-			defer wg.Done()
-			var gen workload.Generator
-			var gerr error
-			if *zipfS > 1 {
-				gen, gerr = workload.NewZipf(keyspace, *updates, valBytes, *zipfS, *seed+int64(w))
-			} else {
-				gen, gerr = workload.NewUniform(keyspace, *updates, valBytes, *seed+int64(w))
-			}
-			if gerr != nil {
-				fmt.Fprintln(os.Stderr, "ckptbench:", gerr)
-				return
-			}
-			batch := make([]kvstore.Op, *updates)
-			for i := writerTxns(*txns, *writers, w); i > 0; i-- {
-				spec := gen.Next()
-				for j, u := range spec.Updates {
-					batch[j] = kvstore.Op{
-						Key: []byte(fmt.Sprintf("key-%08d", u.Record)),
-						Val: u.Value,
-					}
+	werr := runWriters(*writers, func(w int) error {
+		gen, err := newGenerator(keyspace, valBytes, w)
+		if err != nil {
+			return err
+		}
+		batch := make([]kvstore.Op, *updates)
+		for i := writerTxns(*txns, *writers, w); i > 0; i-- {
+			spec := gen.Next()
+			for j, u := range spec.Updates {
+				batch[j] = kvstore.Op{
+					Key: []byte(fmt.Sprintf("key-%08d", u.Record)),
+					Val: u.Value,
 				}
-				if err := store.Batch(ctx, batch); err != nil {
-					fmt.Fprintln(os.Stderr, "ckptbench: batch:", err)
-					return
-				}
-				batches.Add(1)
-				ops.Add(uint64(len(batch)))
 			}
-		}(w)
-	}
-	wg.Wait()
+			if err := store.Batch(ctx, batch); err != nil {
+				return err
+			}
+			batches.Add(1)
+			ops.Add(uint64(len(batch)))
+		}
+		return nil
+	})
 	elapsed := time.Since(start)
+	if werr != nil {
+		return nil, werr
+	}
 
 	st, err := store.Stats(ctx)
 	if err != nil {

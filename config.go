@@ -131,21 +131,17 @@ type Config struct {
 	// default (4); ignored by every other algorithm.
 	HourglassWindow int
 
-	// ThrottleCheckpointIO paces checkpoint segment writes as if they went
-	// to the paper's disk bank (Table 2b: 30 ms seek, 3 µs/word, 20
-	// disks), with the modeled delays divided by ThrottleSpeedup. It lets
-	// experiments reproduce the paper's checkpoint-duration arithmetic on
-	// local files. Zero speedup with throttling enabled means 1 (real
-	// modeled time).
+	// ThrottleCheckpointIO paces checkpoint segment writes with the
+	// paper's disk model (Table 2b: 30 ms seek, 3 µs/word): each flushed
+	// segment costs the worker that issues it one device service time,
+	// IOTime(S_seg), divided by ThrottleSpeedup. A worker is one
+	// synchronous disk stream, so CheckpointParallelism K models K
+	// streams, and the paper's overlapped 20-disk bank is the 20-worker
+	// case. It lets experiments reproduce the paper's checkpoint-duration
+	// arithmetic on local files. Zero speedup with throttling enabled
+	// means 1 (real modeled time).
 	ThrottleCheckpointIO bool
 	ThrottleSpeedup      float64
-
-	// ThrottlePerStream, with ThrottleCheckpointIO, charges each flushing
-	// worker the full single-device service time instead of the
-	// fully-overlapped bank share: K checkpoint workers then model K
-	// synchronous disk streams, which is how parallel checkpoints buy
-	// bandwidth from the bank (see engine.Throttle.PerStream).
-	ThrottlePerStream bool
 
 	// FS, when non-nil, is the filesystem the log and backup copies are
 	// written through. Crash tests inject a faultfs.Injector here (see
@@ -342,9 +338,8 @@ func (c Config) engineParams() (engine.Params, error) {
 			speedup = 1
 		}
 		p.CheckpointThrottle = &engine.Throttle{
-			Disks:     simdisk.Default(),
-			Speedup:   speedup,
-			PerStream: c.ThrottlePerStream,
+			Disks:   simdisk.Default(),
+			Speedup: speedup,
 		}
 	}
 	if err := p.Validate(); err != nil {

@@ -171,11 +171,11 @@ func TestParallelCheckpointWithConcurrentWriters(t *testing.T) {
 	}
 }
 
-// TestSerialVsParallelRecoveryEquivalence recovers the same crashed
+// TestEngineRecoveryOneVsFourWorkers recovers the same crashed
 // directory with one worker and with four on the one recovery path
 // (striped load, partitioned redo) and demands byte-identical databases
 // and matching replay counts.
-func TestSerialVsParallelRecoveryEquivalence(t *testing.T) {
+func TestEngineRecoveryOneVsFourWorkers(t *testing.T) {
 	for _, alg := range allAlgorithms {
 		alg := alg
 		t.Run(alg.String(), func(t *testing.T) {

@@ -13,35 +13,25 @@ import (
 )
 
 // Throttle paces checkpoint segment writes with the paper's disk model
-// (Table 2b): each flushed segment costs IOTime(S_seg)/N_disks of wall
-// time, divided by Speedup. It lets a laptop-scale engine reproduce the
+// (Table 2b): each flushed segment costs the flushing worker one
+// single-device service time, IOTime(S_seg), divided by Speedup. One
+// worker is one synchronous disk stream, and K checkpoint workers are K
+// streams; the paper's fully-overlapped bank of N_bdisks disks is the
+// N_bdisks-stream case. It lets a laptop-scale engine reproduce the
 // paper's checkpoint-duration arithmetic at a manageable time scale.
 type Throttle struct {
-	// Disks is the simulated disk bank.
+	// Disks is the simulated disk model; its per-request service time
+	// prices each flush.
 	Disks simdisk.Model
 	// Speedup divides the modeled delays (e.g. 1000 runs the modeled
 	// schedule a thousand times faster). Must be >= 1.
 	Speedup float64
-	// PerStream charges each flush the full single-device service time
-	// (IOTime) instead of the fully-overlapped bank share (BulkTime). One
-	// flusher then models one synchronous disk stream, and K concurrent
-	// checkpoint workers model K streams — which is how parallel
-	// checkpoints actually buy bandwidth from the bank (aggregate stays
-	// below the bank's for K <= Disks). The default BulkTime mode models
-	// the paper's fully-overlapped bank and is insensitive to parallelism.
-	PerStream bool
 }
 
 // delayPerSegment returns the wall-clock pacing delay for one flushed
 // segment of segBytes, charged to the flushing worker.
 func (th *Throttle) delayPerSegment(segBytes int) time.Duration {
-	words := segBytes / simdisk.WordBytes
-	var d time.Duration
-	if th.PerStream {
-		d = th.Disks.IOTime(words)
-	} else {
-		d = th.Disks.BulkTime(1, words)
-	}
+	d := th.Disks.IOTime(segBytes / simdisk.WordBytes)
 	return time.Duration(float64(d) / th.Speedup)
 }
 

@@ -25,11 +25,11 @@ func TestThrottleValidation(t *testing.T) {
 
 func TestThrottleDelayMath(t *testing.T) {
 	th := &Throttle{Disks: simdisk.Default(), Speedup: 1}
-	// One 8192-word (32768-byte) segment across 20 disks:
-	// (30ms + 8192·3µs)/20 = 2.7288 ms.
+	// One 8192-word (32768-byte) segment costs the flushing worker one
+	// device service time: 30ms + 8192·3µs = 54.576 ms.
 	got := th.delayPerSegment(32768)
-	want := (30*time.Millisecond + 8192*3*time.Microsecond) / 20
-	if got != want {
+	want := 30*time.Millisecond + 8192*3*time.Microsecond
+	if want != 54576*time.Microsecond || got != want {
 		t.Errorf("delay = %v, want %v", got, want)
 	}
 	th.Speedup = 1000
@@ -58,7 +58,7 @@ func TestThrottlePacesCheckpoints(t *testing.T) {
 		return res.Duration
 	}
 	// 32 segments of 256 B = 64 words each: modeled delay/segment at
-	// speedup 100 is (30ms + 64·3µs)/20/100 ≈ 15.1 µs → ≥ 483 µs total.
+	// speedup 100 is (30ms + 64·3µs)/100 ≈ 302 µs → ≥ 9.7 ms total.
 	th := &Throttle{Disks: simdisk.Default(), Speedup: 100}
 	perSeg := th.delayPerSegment(256)
 	throttled := run(th)

@@ -6,10 +6,10 @@
 // metrics registry, and span tracer. Keys route to shards by FNV-1a
 // hash, so there is no cross-shard coordination — and no cross-shard
 // lock — on any single-key path. Checkpoint schedules are staggered by
-// shard*CheckpointInterval/Shards (see Config.ShardConfig), which with
-// engine.Throttle.PerStream pricing bounds the aggregate backup
-// bandwidth to one stream per concurrently-checkpointing shard instead
-// of N simultaneous bursts.
+// shard*CheckpointInterval/Shards (see Config.ShardConfig). Under the
+// checkpoint throttle each flushing worker is one disk stream, so the
+// stagger bounds the aggregate backup bandwidth to the streams of the
+// shards checkpointing at once instead of N simultaneous bursts.
 //
 // The Router implements kvstore.Store, so everything written against
 // the in-process store — tests, benches, the mmdbd server — drives a

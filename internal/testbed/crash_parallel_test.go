@@ -98,12 +98,12 @@ func copyTree(t *testing.T, src string) string {
 	return dst
 }
 
-// TestRecoveryParallelEquivalence crashes a database mid-life for every
+// TestRecoveryOneVsFourWorkers crashes a database mid-life for every
 // algorithm, then recovers two copies of the identical on-disk state on
 // the one recovery path — one with a single loader/apply worker, one with
 // 4 — and requires byte-identical databases and matching replay
 // accounting.
-func TestRecoveryParallelEquivalence(t *testing.T) {
+func TestRecoveryOneVsFourWorkers(t *testing.T) {
 	const (
 		records     = 256
 		recordBytes = 64
