@@ -6,38 +6,60 @@ import (
 )
 
 // Algorithm identifies one of the checkpoint algorithms of Section 3 of
-// the paper. The analytic model evaluates each algorithm from a small set
-// of structural properties (does it copy segments, lock them, need LSN
+// the paper, or one of the two post-paper extensions (Zigzag,
+// Hourglass). It is the one enumeration of the repository: the engine
+// and the public mmdb API alias it, and the simulator uses it directly.
+// The analytic model evaluates each algorithm from a small set of
+// structural properties (does it copy segments, lock them, need LSN
 // checks, abort transactions, quiesce the system).
 type Algorithm int
 
-// The paper's checkpoint algorithms. Values parallel the engine's
-// internal enumeration; mmdb.Algorithm aliases this type.
+// The five checkpoint algorithms compared by the paper, plus FASTFUZZY
+// (introduced in Section 4 for systems with a stable log tail), plus the
+// two consistent-snapshot algorithms of Cao et al., "A Comparative Study
+// of Consistent Snapshot Algorithms for Main-Memory Database Systems":
+// Zigzag and Hourglass, adapted here from page to segment granularity.
+//
+// The values are part of the on-disk format: the engine logs each
+// begin-checkpoint record's algorithm as uint8(a), so FuzzyCopy is 1
+// through Hourglass 8, and a new algorithm must take the next value.
 const (
 	// FuzzyCopy is FUZZYCOPY: fuzzy checkpointing through a main-memory
-	// I/O buffer with LSN synchronization against the log.
+	// I/O buffer. Each segment is copied into the buffer and flushed once
+	// the log is durable past the segment's last update, so the
+	// write-ahead rule holds through LSN synchronization with the log and
+	// without any transaction synchronization.
 	FuzzyCopy Algorithm = iota + 1
-	// FastFuzzy is FASTFUZZY: direct fuzzy flushes, requiring a stable
-	// log tail (Section 4).
+	// FastFuzzy is FASTFUZZY: segments are flushed directly from the
+	// database, with no buffer copy and no LSN checks. It is only safe
+	// with a stable log tail (Section 4).
 	FastFuzzy
 	// TwoColorFlush is 2CFLUSH: Pu's black/white algorithm, flushing
-	// segments while locked.
+	// each segment to the backup disks while its lock is held.
 	TwoColorFlush
-	// TwoColorCopy is 2CCOPY: Pu's algorithm, copying under the lock and
-	// flushing after release.
+	// TwoColorCopy is 2CCOPY: Pu's algorithm, copying the segment to a
+	// buffer under the lock and flushing it after the lock is released.
 	TwoColorCopy
-	// COUFlush is COUFLUSH: copy-on-update with locked direct flushes.
+	// COUFlush is COUFLUSH: copy-on-update, with untouched dirty
+	// segments flushed while latched.
 	COUFlush
-	// COUCopy is COUCOPY: copy-on-update flushing through a buffer.
+	// COUCopy is COUCOPY: copy-on-update, with untouched dirty segments
+	// copied to a buffer and flushed after unlatching.
 	COUCopy
-	// Zigzag is ZIGZAG (Cao et al.): two full database images with a
-	// per-segment flip bit; the first updater of each segment per
-	// checkpoint copies it onto the shadow image, preserving the
-	// begin-state snapshot without allocation.
+	// Zigzag is ZIGZAG (Cao et al.): two full database images
+	// (Data/Shadow) and two bits per segment. At checkpoint begin (under
+	// quiescence) every segment is armed; the first writer to touch an
+	// armed segment flips its live image onto the shadow slab,
+	// preserving the begin-state image, which the checkpointer then
+	// flushes without latching. The backup is transaction-consistent at
+	// begin, like COU, but the write-path cost is a segment copy instead
+	// of a buffer allocation.
 	Zigzag
-	// Hourglass is HOURGLASS (Cao et al.): windowed copy-on-update —
-	// old versions live in a fixed pool of W preallocated segment
-	// buffers, bounding snapshot memory where COU is unbounded.
+	// Hourglass is HOURGLASS (Cao et al.): windowed copy-on-update. Old
+	// versions are preserved in a fixed pool of W preallocated segment
+	// buffers (the hourglass "waist"). A writer needing a buffer when the
+	// pool is empty waits until the checkpointer returns one, bounding
+	// snapshot memory at W segments where plain COU is unbounded.
 	Hourglass
 )
 
@@ -87,14 +109,21 @@ func Parse(name string) (Algorithm, error) {
 // Valid reports whether a names a known algorithm.
 func (a Algorithm) Valid() bool { return a >= FuzzyCopy && a <= Hourglass }
 
-// TwoColor reports whether the algorithm aborts transactions under the
-// black/white rule.
+// TwoColor reports whether the algorithm is a black/white locking
+// algorithm, which aborts transactions that touch both colors.
 func (a Algorithm) TwoColor() bool { return a == TwoColorFlush || a == TwoColorCopy }
 
-// CopyOnUpdate reports whether transactions preserve old segment versions.
+// CopyOnUpdate reports whether the algorithm is COUFLUSH or COUCOPY,
+// whose transactions preserve pre-checkpoint segment versions in
+// per-segment heap copies while a checkpoint runs. Hourglass is
+// deliberately excluded: it preserves old versions too, but through the
+// bounded buffer pool rather than per-segment allocation, so the COU
+// paths (dropping old copies, the unbounded-buffer accounting) do not
+// apply to it unchanged. PreservesOldVersions covers both.
 func (a Algorithm) CopyOnUpdate() bool { return a == COUFlush || a == COUCopy }
 
-// Fuzzy reports whether the backup produced is fuzzy.
+// Fuzzy reports whether the backup produced is fuzzy (not
+// transaction-consistent).
 func (a Algorithm) Fuzzy() bool { return a == FuzzyCopy || a == FastFuzzy }
 
 // CopiesSegments reports whether the checkpointer moves each flushed
@@ -104,7 +133,12 @@ func (a Algorithm) CopiesSegments() bool {
 }
 
 // UsesLSN reports whether the algorithm synchronizes with the log through
-// log sequence numbers (dropped when the log tail is stable).
+// log sequence numbers before flushing a segment, to preserve the
+// write-ahead rule (dropped when the log tail is stable). COU algorithms
+// never need LSNs: every update they flush predates the checkpoint's
+// begin marker, whose log tail flush made it durable. FASTFUZZY relies on
+// a stable tail instead. Zigzag and Hourglass flush only begin-state
+// images, so they inherit the COU argument.
 func (a Algorithm) UsesLSN() bool {
 	return a == FuzzyCopy || a == TwoColorFlush || a == TwoColorCopy
 }
@@ -121,10 +155,11 @@ func (a Algorithm) LocksSegments() bool {
 func (a Algorithm) RequiresStableTail() bool { return a == FastFuzzy }
 
 // RequiresQuiesce reports whether checkpoint begin quiesces transaction
-// processing (COU, Zigzag, Hourglass share the begin protocol: stop
-// writers, stamp τ, flush the begin record). They also share its model
-// consequence: per-update timestamp maintenance while idle plus the
-// begin-quiesce latency, priced like COU's.
+// processing. COU, Zigzag and Hourglass share the begin protocol: stop
+// writers, stamp τ, flush the begin record, then publish the run so
+// writers resume against it. They also share its model consequence:
+// per-update timestamp maintenance while idle plus the begin-quiesce
+// latency, priced like COU's.
 func (a Algorithm) RequiresQuiesce() bool {
 	return a.CopyOnUpdate() || a == Zigzag || a == Hourglass
 }

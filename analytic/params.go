@@ -8,7 +8,7 @@ import (
 // Params holds the model parameters of Section 2 (Tables 2a–2d) plus the
 // handful of reconstruction parameters the paper's companion report
 // [Sale87a] would have carried (documented in DESIGN.md §5). All sizes are
-// in words (4 bytes each), times in seconds, costs in instructions.
+// in words (WordBytes each), times in seconds, costs in instructions.
 type Params struct {
 	// Table 2a — basic operation costs (instructions).
 	CLock  float64 // (un)locking overhead
@@ -59,6 +59,11 @@ type Params struct {
 	// dirty. It only binds at very low update rates.
 	MinCheckpointSeconds float64
 }
+
+// WordBytes is the size of one model word. The paper's bandwidth
+// arithmetic (Section 2.3) uses four bytes per word; engine byte sizes
+// divide by it to become model sizes.
+const WordBytes = 4
 
 // DefaultParams returns the paper's default parameter values (Tables
 // 2a–2d) with the reconstruction defaults of DESIGN.md §5.
@@ -194,8 +199,9 @@ type Options struct {
 	HourglassWindowSegments float64
 }
 
-// DefaultHourglassWindowSegments mirrors the engine's
-// DefaultHourglassWindow: four preallocated old-copy buffers.
+// DefaultHourglassWindowSegments is the HOURGLASS old-copy window W, in
+// segments, used when a window is left zero: four preallocated old-copy
+// buffers. The engine resolves a zero Params.HourglassWindow to it too.
 const DefaultHourglassWindowSegments = 4
 
 // hourglassWindow resolves the zero value of HourglassWindowSegments.

@@ -73,7 +73,7 @@ var (
 	seed     = flag.Int64("seed", 1, "workload seed")
 	parallel = flag.String("parallel", "1", "comma-separated checkpoint/recovery worker counts; each algorithm runs once per count")
 	throttle = flag.Bool("throttle", false, "pace checkpoint segment writes with the paper's disk model, one stream per worker, and price the model at that disk")
-	speedup  = flag.Float64("speedup", 0, "divide the modeled throttle delays by this factor (0 = engine default)")
+	speedup  = flag.Float64("speedup", 0, "with -throttle: divide the modeled disk delays by this factor (0 = 1, real modeled time)")
 	jsonPath = flag.String("json", "", "write the machine-readable result file here")
 	appendTo = flag.Bool("append", false, "with -json: keep the existing file's runs and append this invocation's (the schema is upgraded in place)")
 	metrics  = flag.String("metrics", "", "serve live metrics on this address during the run (e.g. :6060)")
@@ -222,6 +222,10 @@ var liveDB atomic.Pointer[mmdb.DB]
 
 func main() {
 	flag.Parse()
+	if *speedup != 0 && !*throttle {
+		fmt.Fprintln(os.Stderr, "ckptbench: -speedup scales the -throttle disk model; add -throttle or drop -speedup")
+		os.Exit(2)
+	}
 	if *metrics != "" {
 		mux := http.NewServeMux()
 		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -409,8 +413,7 @@ func run(algName string, par int) (*BenchResult, error) {
 		// The throttle charges each worker the full per-device service
 		// time, so the K-worker pipeline shows the disk-model speedup
 		// even on few-core hosts (the sleeps overlap).
-		ThrottleCheckpointIO: *throttle,
-		ThrottleSpeedup:      *speedup,
+		ThrottleSpeedup: throttleSpeedup(),
 	}
 	if *traceOut != "" {
 		// Trace every commit so the exported span ring holds complete
@@ -670,8 +673,8 @@ func effSegBytes() int {
 }
 
 // throttleSpeedup is the factor the checkpoint throttle divides the
-// disk-model delays by: -speedup, with the engine's default of 1 for 0,
-// or 0 for an unthrottled run.
+// disk-model delays by: -speedup, with 1 for 0, or 0 (off) for an
+// unthrottled run.
 func throttleSpeedup() float64 {
 	switch {
 	case !*throttle:
@@ -691,8 +694,8 @@ func throttleSpeedup() float64 {
 // the throttle's real rate. The scaled sweep has no one-second floor.
 func modelParams(par int, tput float64) analytic.Params {
 	p := analytic.DefaultParams()
-	p.SRec = float64(*recBytes) / 4
-	p.SSeg = float64(effSegBytes()) / 4
+	p.SRec = float64(*recBytes) / analytic.WordBytes
+	p.SSeg = float64(effSegBytes()) / analytic.WordBytes
 	p.SDB = float64(*records) * p.SRec
 	p.NRU = float64(*updates)
 	if tput > 0 {

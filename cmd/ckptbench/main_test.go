@@ -1,9 +1,13 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -23,6 +27,43 @@ func TestWriterTxnsSumToTotal(t *testing.T) {
 		}
 		if sum != c.txns {
 			t.Errorf("txns %d writers %d: shares sum to %d", c.txns, c.writers, sum)
+		}
+	}
+}
+
+// TestFlagUsage runs the command in a child process (the test binary,
+// re-entered with CKPTBENCH_ARGS set) and checks its exit status and
+// stderr: a flag combination that would silently be ignored is a usage
+// error, exit status 2.
+func TestFlagUsage(t *testing.T) {
+	if args, ok := os.LookupEnv("CKPTBENCH_ARGS"); ok {
+		os.Args = append([]string{"ckptbench"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	for _, c := range []struct {
+		args   string
+		code   int
+		stderr string
+	}{
+		{"-speedup 20 -txns 200 -records 4096", 2, "-throttle"},
+		{"-speedup 0.5 -txns 200 -records 4096", 2, "-throttle"},
+		{"-throttle -speedup 20 -txns 50 -records 4096 -writers 2", 0, ""},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestFlagUsage$")
+		cmd.Env = append(os.Environ(), "CKPTBENCH_ARGS="+c.args)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		code := 0
+		if err := cmd.Run(); err != nil {
+			var ee *exec.ExitError
+			if !errors.As(err, &ee) {
+				t.Fatalf("%s: %v", c.args, err)
+			}
+			code = ee.ExitCode()
+		}
+		if code != c.code || !strings.Contains(stderr.String(), c.stderr) {
+			t.Errorf("ckptbench %s: exit %d, stderr %q; want exit %d naming %q", c.args, code, stderr.String(), c.code, c.stderr)
 		}
 	}
 }

@@ -141,19 +141,18 @@ func runSharded() (*ShardedResult, error) {
 			return nil, err
 		}
 		cfg = mmdb.Config{
-			Dir:                  dir,
-			NumRecords:           *records,
-			RecordBytes:          *recBytes,
-			SegmentBytes:         *segBytes,
-			Algorithm:            alg,
-			StableLogTail:        *stable || alg == mmdb.FastFuzzy,
-			SyncCommit:           *syncCmt,
-			GroupCommitInterval:  2 * time.Millisecond,
-			CheckpointInterval:   *interval,
-			AutoCheckpoint:       true,
-			Shards:               *shardsFlag,
-			ThrottleCheckpointIO: *throttle,
-			ThrottleSpeedup:      *speedup,
+			Dir:                 dir,
+			NumRecords:          *records,
+			RecordBytes:         *recBytes,
+			SegmentBytes:        *segBytes,
+			Algorithm:           alg,
+			StableLogTail:       *stable || alg == mmdb.FastFuzzy,
+			SyncCommit:          *syncCmt,
+			GroupCommitInterval: 2 * time.Millisecond,
+			CheckpointInterval:  *interval,
+			AutoCheckpoint:      true,
+			Shards:              *shardsFlag,
+			ThrottleSpeedup:     throttleSpeedup(),
 		}
 		r, _, err := shard.Open(context.Background(), cfg)
 		if err != nil {

@@ -13,7 +13,7 @@
 // Analyzers:
 //
 //	lockcheck    guarded_by-annotated fields accessed only under their mutex
-//	detcheck     determinism of sim, analytic, and internal/simdisk
+//	detcheck     determinism of sim and analytic
 //	errcheckwal  no discarded errors from wal/storage/backup/engine calls
 //	lsncheck     LSN ordering/arithmetic through typed helpers only
 //	walorder     disk writes covered by a durable WAL position on every path

@@ -11,13 +11,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"mmdb/analytic"
 	"mmdb/sim"
 )
 
 var (
-	algName     = flag.String("alg", "COUCOPY", "checkpoint algorithm (FUZZYCOPY, FASTFUZZY, 2CFLUSH, 2CCOPY, COUFLUSH, COUCOPY)")
+	algName     = flag.String("alg", "COUCOPY", "checkpoint algorithm ("+algNames()+")")
 	lambda      = flag.Float64("lambda", 0, "transaction arrival rate (0 = paper default)")
 	nru         = flag.Float64("nru", 0, "updates per transaction (0 = paper default)")
 	sseg        = flag.Float64("sseg", 0, "segment size in words (0 = paper default)")
@@ -33,6 +34,15 @@ var (
 	skew        = flag.Float64("skew", 0, "Zipf skew over segments (>1; 0 = uniform, the paper's model)")
 	logical     = flag.Bool("logical", false, "logical (operation) logging — requires a COU algorithm")
 )
+
+// algNames lists every algorithm's paper name for the -alg help.
+func algNames() string {
+	names := make([]string, len(analytic.Algorithms))
+	for i, a := range analytic.Algorithms {
+		names[i] = a.String()
+	}
+	return strings.Join(names, ", ")
+}
 
 func main() {
 	flag.Parse()

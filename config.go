@@ -8,7 +8,6 @@ import (
 	"mmdb/analytic"
 	"mmdb/internal/engine"
 	"mmdb/internal/faultfs"
-	"mmdb/internal/simdisk"
 	"mmdb/internal/storage"
 )
 
@@ -30,21 +29,10 @@ const (
 )
 
 // Algorithms lists every algorithm in the paper's presentation order,
-// derived from the engine's enumeration so the two cannot drift: every
-// algorithm the engine implements must have an analytic counterpart with
-// the same paper name, or init panics.
-var Algorithms = func() []Algorithm {
-	engAlgs := engine.AllAlgorithms()
-	algs := make([]Algorithm, len(engAlgs))
-	for i, ea := range engAlgs {
-		a, err := analytic.Parse(ea.String())
-		if err != nil {
-			panic(fmt.Sprintf("mmdb: engine algorithm %v has no analytic counterpart: %v", ea, err))
-		}
-		algs[i] = a
-	}
-	return algs
-}()
+// followed by the two extensions. It is a copy of analytic.Algorithms, so
+// a caller that reorders or overwrites it does not change what
+// ParseAlgorithm accepts.
+var Algorithms = append([]Algorithm(nil), analytic.Algorithms...)
 
 // ParseAlgorithm resolves a case-insensitive paper name ("COUCOPY",
 // "2cflush", ...) to an Algorithm.
@@ -131,17 +119,17 @@ type Config struct {
 	// default (4); ignored by every other algorithm.
 	HourglassWindow int
 
-	// ThrottleCheckpointIO paces checkpoint segment writes with the
-	// paper's disk model (Table 2b: 30 ms seek, 3 µs/word): each flushed
-	// segment costs the worker that issues it one device service time,
-	// IOTime(S_seg), divided by ThrottleSpeedup. A worker is one
-	// synchronous disk stream, so CheckpointParallelism K models K
-	// streams, and the paper's overlapped 20-disk bank is the 20-worker
-	// case. It lets experiments reproduce the paper's checkpoint-duration
-	// arithmetic on local files. Zero speedup with throttling enabled
-	// means 1 (real modeled time).
-	ThrottleCheckpointIO bool
-	ThrottleSpeedup      float64
+	// ThrottleSpeedup, when non-zero, paces checkpoint segment writes
+	// with the paper's disk model (Table 2b: 30 ms seek, 3 µs/word): each
+	// flushed segment costs the worker that issues it one device service
+	// time, analytic.DefaultParams().SegmentIOTime() at this segment
+	// size, divided by ThrottleSpeedup. A worker is one synchronous disk
+	// stream, so CheckpointParallelism K models K streams, and the
+	// paper's overlapped 20-disk bank is the 20-worker case. It lets
+	// experiments reproduce the paper's checkpoint-duration arithmetic on
+	// local files. Zero means unthrottled; 1 runs in real modeled time;
+	// any other value must be at least 1.
+	ThrottleSpeedup float64
 
 	// FS, when non-nil, is the filesystem the log and backup copies are
 	// written through. Crash tests inject a faultfs.Injector here (see
@@ -265,30 +253,6 @@ func (c Config) ShardConfig(shard int) (Config, error) {
 	return sc, nil
 }
 
-// engineAlgorithm maps the public algorithm enumeration to the engine's.
-func engineAlgorithm(a Algorithm) (engine.Algorithm, error) {
-	switch a {
-	case FuzzyCopy:
-		return engine.FuzzyCopy, nil
-	case FastFuzzy:
-		return engine.FastFuzzy, nil
-	case TwoColorFlush:
-		return engine.TwoColorFlush, nil
-	case TwoColorCopy:
-		return engine.TwoColorCopy, nil
-	case COUFlush:
-		return engine.COUFlush, nil
-	case COUCopy:
-		return engine.COUCopy, nil
-	case Zigzag:
-		return engine.Zigzag, nil
-	case Hourglass:
-		return engine.Hourglass, nil
-	default:
-		return 0, fmt.Errorf("mmdb: unknown algorithm %v", a)
-	}
-}
-
 // engineParams converts the public configuration to engine parameters.
 func (c Config) engineParams() (engine.Params, error) {
 	c = c.withDefaults()
@@ -298,10 +262,6 @@ func (c Config) engineParams() (engine.Params, error) {
 	if c.Shards > 1 {
 		return engine.Params{}, fmt.Errorf("mmdb: Shards %d: a DB is one engine; open sharded configs through the shard router (cmd/mmdbd or ShardConfig per shard)", c.Shards)
 	}
-	alg, err := engineAlgorithm(c.Algorithm)
-	if err != nil {
-		return engine.Params{}, err
-	}
 	p := engine.Params{
 		Dir: c.Dir,
 		Storage: storage.Config{
@@ -309,7 +269,7 @@ func (c Config) engineParams() (engine.Params, error) {
 			RecordBytes:  c.RecordBytes,
 			SegmentBytes: c.SegmentBytes,
 		},
-		Algorithm:               alg,
+		Algorithm:               c.Algorithm,
 		Full:                    c.FullCheckpoints,
 		StableTail:              c.StableLogTail,
 		SyncCommit:              c.SyncCommit,
@@ -324,6 +284,7 @@ func (c Config) engineParams() (engine.Params, error) {
 		CheckpointParallelism:   c.CheckpointParallelism,
 		RecoveryParallelism:     c.RecoveryParallelism,
 		HourglassWindow:         c.HourglassWindow,
+		ThrottleSpeedup:         c.ThrottleSpeedup,
 		FS:                      c.FS,
 		SegmentHook:             c.CheckpointSegmentHook,
 
@@ -331,16 +292,6 @@ func (c Config) engineParams() (engine.Params, error) {
 		SlowOpCommitThreshold:     c.SlowOpCommitThreshold,
 		SlowOpCheckpointThreshold: c.SlowOpCheckpointThreshold,
 		CheckpointStagger:         c.CheckpointStagger,
-	}
-	if c.ThrottleCheckpointIO {
-		speedup := c.ThrottleSpeedup
-		if speedup == 0 {
-			speedup = 1
-		}
-		p.CheckpointThrottle = &engine.Throttle{
-			Disks:   simdisk.Default(),
-			Speedup: speedup,
-		}
 	}
 	if err := p.Validate(); err != nil {
 		return engine.Params{}, err

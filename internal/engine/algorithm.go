@@ -1,153 +1,20 @@
 package engine
 
-import (
-	"fmt"
-	"strings"
-)
+import "mmdb/analytic"
 
-// Algorithm selects a checkpoint algorithm from Section 3 of the paper,
-// or one of the two post-paper extensions (Zigzag, Hourglass).
-type Algorithm uint8
+// Algorithm selects a checkpoint algorithm. It is the analytic package's
+// enumeration, which documents each algorithm and its structural
+// properties; the engine dispatches on those properties.
+type Algorithm = analytic.Algorithm
 
-// The five checkpoint algorithms compared by the paper, plus FASTFUZZY
-// (introduced in Section 4 for systems with a stable log tail), plus the
-// two consistent-snapshot algorithms of Cao et al., "A Comparative Study
-// of Consistent Snapshot Algorithms for Main-Memory Database Systems":
-// Zigzag and Hourglass, adapted here from page to segment granularity.
+// The checkpoint algorithms the engine implements (see analytic.Algorithm).
 const (
-	// FuzzyCopy (the paper's FUZZYCOPY) copies each segment into an I/O
-	// buffer and flushes the buffer once the log is durable past the
-	// segment's last update, so the write-ahead rule holds without any
-	// transaction synchronization.
-	FuzzyCopy Algorithm = iota + 1
-	// FastFuzzy (FASTFUZZY) flushes segments directly from the database,
-	// with no buffer copy and no LSN checks. It is only safe with a
-	// stable log tail (Section 4).
-	FastFuzzy
-	// TwoColorFlush (2CFLUSH) is Pu's black/white algorithm with the
-	// segment flushed to the backup disks while its lock is held.
-	TwoColorFlush
-	// TwoColorCopy (2CCOPY) is Pu's algorithm with the segment copied to a
-	// buffer under the lock and flushed after the lock is released.
-	TwoColorCopy
-	// COUFlush (COUFLUSH) is copy-on-update checkpointing with untouched
-	// dirty segments flushed while latched.
-	COUFlush
-	// COUCopy (COUCOPY) is copy-on-update checkpointing with untouched
-	// dirty segments copied to a buffer and flushed after unlatching.
-	COUCopy
-	// Zigzag (ZIGZAG) keeps two full database images (Data/Shadow) and
-	// two bits per segment. At checkpoint begin (under quiescence) every
-	// segment is armed; the first writer to touch an armed segment flips
-	// its live image onto the shadow slab, preserving the begin-state
-	// image, which the checkpointer then flushes without latching. The
-	// backup is transaction-consistent at begin, like COU, but the
-	// write-path cost is a segment copy instead of a buffer allocation.
-	Zigzag
-	// Hourglass (HOURGLASS) is windowed copy-on-update: old versions are
-	// preserved in a fixed pool of W preallocated segment buffers (the
-	// hourglass "waist"). A writer needing a buffer when the pool is
-	// empty waits until the checkpointer returns one, bounding snapshot
-	// memory at W segments where plain COU is unbounded.
-	Hourglass
+	FuzzyCopy     = analytic.FuzzyCopy
+	FastFuzzy     = analytic.FastFuzzy
+	TwoColorFlush = analytic.TwoColorFlush
+	TwoColorCopy  = analytic.TwoColorCopy
+	COUFlush      = analytic.COUFlush
+	COUCopy       = analytic.COUCopy
+	Zigzag        = analytic.Zigzag
+	Hourglass     = analytic.Hourglass
 )
-
-// Algorithms lists every algorithm in presentation order.
-var Algorithms = []Algorithm{FuzzyCopy, FastFuzzy, TwoColorFlush, TwoColorCopy, COUFlush, COUCopy, Zigzag, Hourglass}
-
-// AllAlgorithms returns a fresh copy of the full algorithm list. Every
-// consumer that sweeps "all algorithms" (the crash matrix, ckptbench
-// -matrix, the mmdb package's public Algorithms list) derives from this
-// single slice, so adding an algorithm here extends them all.
-func AllAlgorithms() []Algorithm {
-	out := make([]Algorithm, len(Algorithms))
-	copy(out, Algorithms)
-	return out
-}
-
-// String returns the paper's name for the algorithm.
-func (a Algorithm) String() string {
-	switch a {
-	case FuzzyCopy:
-		return "FUZZYCOPY"
-	case FastFuzzy:
-		return "FASTFUZZY"
-	case TwoColorFlush:
-		return "2CFLUSH"
-	case TwoColorCopy:
-		return "2CCOPY"
-	case COUFlush:
-		return "COUFLUSH"
-	case COUCopy:
-		return "COUCOPY"
-	case Zigzag:
-		return "ZIGZAG"
-	case Hourglass:
-		return "HOURGLASS"
-	default:
-		return fmt.Sprintf("engine.Algorithm(%d)", uint8(a))
-	}
-}
-
-// ParseAlgorithm resolves a (case-insensitive) paper name to an Algorithm.
-// The error enumerates every valid name, derived from Algorithms so a new
-// algorithm appears without touching this function.
-func ParseAlgorithm(s string) (Algorithm, error) {
-	for _, a := range Algorithms {
-		if strings.EqualFold(s, a.String()) {
-			return a, nil
-		}
-	}
-	names := make([]string, len(Algorithms))
-	for i, a := range Algorithms {
-		names[i] = a.String()
-	}
-	return 0, fmt.Errorf("engine: unknown checkpoint algorithm %q (want one of %s)", s, strings.Join(names, ", "))
-}
-
-// Valid reports whether a names a known algorithm.
-func (a Algorithm) Valid() bool { return a >= FuzzyCopy && a <= Hourglass }
-
-// TwoColor reports whether the algorithm is a black/white locking
-// algorithm, which aborts transactions that touch both colors.
-func (a Algorithm) TwoColor() bool { return a == TwoColorFlush || a == TwoColorCopy }
-
-// CopyOnUpdate reports whether the algorithm requires transactions to
-// preserve pre-checkpoint segment versions while a checkpoint runs.
-// Hourglass is deliberately excluded: it preserves old versions too, but
-// through the bounded buffer pool rather than per-segment allocation, so
-// the COU dispatch paths (dropOldCopies, the unbounded-buffer accounting)
-// do not apply to it unchanged.
-func (a Algorithm) CopyOnUpdate() bool { return a == COUFlush || a == COUCopy }
-
-// Fuzzy reports whether the algorithm produces fuzzy (not
-// transaction-consistent) backups.
-func (a Algorithm) Fuzzy() bool { return a == FuzzyCopy || a == FastFuzzy }
-
-// CopiesSegments reports whether the checkpointer copies segments into a
-// buffer before flushing (the source of the S_seg data-movement cost).
-func (a Algorithm) CopiesSegments() bool {
-	return a == FuzzyCopy || a == TwoColorCopy || a == COUCopy
-}
-
-// UsesLSN reports whether the algorithm must check log sequence numbers
-// before flushing a segment to preserve the write-ahead rule. COU
-// algorithms never need LSNs (every update they flush predates the
-// checkpoint's begin marker, whose log tail flush made it durable), and
-// FASTFUZZY relies on a stable tail instead. Zigzag and Hourglass flush
-// only begin-state images, so they inherit the COU argument.
-func (a Algorithm) UsesLSN() bool {
-	return a == FuzzyCopy || a == TwoColorFlush || a == TwoColorCopy
-}
-
-// RequiresStableTail reports whether the algorithm is only correct with a
-// stable log tail.
-func (a Algorithm) RequiresStableTail() bool { return a == FastFuzzy }
-
-// RequiresQuiesce reports whether checkpoint begin must quiesce
-// transaction processing. The quiesce family shares the same begin
-// protocol: stop writers, stamp τ, flush the begin record, then publish
-// the run so writers resume against it.
-func (a Algorithm) RequiresQuiesce() bool {
-	return a.CopyOnUpdate() || a == Zigzag || a == Hourglass
-}

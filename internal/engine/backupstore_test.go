@@ -13,7 +13,7 @@ import (
 // recovery must behave identically no matter what stands behind
 // backup.Store.
 func TestOpenBackupHookMemStore(t *testing.T) {
-	for _, alg := range AllAlgorithms() {
+	for _, alg := range allAlgorithms {
 		alg := alg
 		t.Run(alg.String(), func(t *testing.T) {
 			// One MemStore per subtest, shared between Open and Recover:

@@ -229,8 +229,8 @@ func (e *Engine) flushSegment(run *ckptRun, idx int, data []byte) error {
 	}
 	e.ctr.segmentsFlushed.Add(1)
 	e.ctr.bytesFlushed.Add(uint64(len(data)))
-	if th := e.params.CheckpointThrottle; th != nil {
-		time.Sleep(th.delayPerSegment(len(data)))
+	if sp := e.params.ThrottleSpeedup; sp != 0 {
+		time.Sleep(throttleDelay(len(data), sp))
 	}
 	d := time.Since(began)
 	e.eo.spans.End(span)

@@ -1,7 +1,8 @@
 // Package engine implements the paper's MMDBMS core: shadow-copy
 // transactions with redo-only logging over a memory-resident segmented
-// database, the six asynchronous checkpoint algorithms of Section 3, and
-// crash recovery from the ping-pong backup plus the log (Section 3.3).
+// database, eight asynchronous checkpoint algorithms (the paper's six of
+// Section 3 plus ZIGZAG and HOURGLASS), and crash recovery from the
+// ping-pong backup plus the log (Section 3.3).
 package engine
 
 import (

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -93,62 +92,6 @@ func TestParamsValidation(t *testing.T) {
 	}
 }
 
-func TestParseAlgorithm(t *testing.T) {
-	// Explicit name table: adding a ninth algorithm must extend this test
-	// (and the paper-name mapping) deliberately, not silently.
-	names := []struct {
-		name string
-		want Algorithm
-	}{
-		{"FUZZYCOPY", FuzzyCopy},
-		{"FASTFUZZY", FastFuzzy},
-		{"2CFLUSH", TwoColorFlush},
-		{"2CCOPY", TwoColorCopy},
-		{"COUFLUSH", COUFlush},
-		{"COUCOPY", COUCopy},
-		{"ZIGZAG", Zigzag},
-		{"HOURGLASS", Hourglass},
-	}
-	if len(names) != len(Algorithms) {
-		t.Fatalf("name table has %d entries but Algorithms lists %d; extend the table", len(names), len(Algorithms))
-	}
-	for _, c := range names {
-		got, err := ParseAlgorithm(c.name)
-		if err != nil || got != c.want {
-			t.Errorf("ParseAlgorithm(%q) = %v, %v, want %v", c.name, got, err, c.want)
-		}
-		if got.String() != c.name {
-			t.Errorf("%v.String() = %q, want %q", c.want, got.String(), c.name)
-		}
-	}
-	if _, err := ParseAlgorithm("couflush"); err != nil {
-		t.Errorf("case-insensitive parse failed: %v", err)
-	}
-	_, err := ParseAlgorithm("NOPE")
-	if err == nil {
-		t.Fatal("unknown name accepted")
-	}
-	// The error must enumerate every valid name.
-	for _, c := range names {
-		if !strings.Contains(err.Error(), c.name) {
-			t.Errorf("parse error %q does not list %s", err, c.name)
-		}
-	}
-}
-
-// TestAllAlgorithmsIsolated: AllAlgorithms hands out a copy, so callers
-// cannot corrupt the canonical list.
-func TestAllAlgorithmsIsolated(t *testing.T) {
-	a := AllAlgorithms()
-	if len(a) != len(Algorithms) {
-		t.Fatalf("AllAlgorithms len = %d, want %d", len(a), len(Algorithms))
-	}
-	a[0] = Algorithm(99)
-	if Algorithms[0] == Algorithm(99) {
-		t.Error("mutating the returned slice corrupted the canonical list")
-	}
-}
-
 func TestAlgorithmProperties(t *testing.T) {
 	cases := []struct {
 		a                             Algorithm
@@ -164,8 +107,8 @@ func TestAlgorithmProperties(t *testing.T) {
 		{Zigzag, false, false, false, false, false, false, true},
 		{Hourglass, false, false, false, false, false, false, true},
 	}
-	if len(cases) != len(Algorithms) {
-		t.Fatalf("property table has %d rows but Algorithms lists %d; extend the table", len(cases), len(Algorithms))
+	if len(cases) != len(allAlgorithms) {
+		t.Fatalf("property table has %d rows but analytic.Algorithms lists %d; extend the table", len(cases), len(allAlgorithms))
 	}
 	for _, c := range cases {
 		if c.a.TwoColor() != c.twoColor || c.a.CopyOnUpdate() != c.cou ||
@@ -383,7 +326,7 @@ func TestOpenRefusesExistingDatabase(t *testing.T) {
 }
 
 func TestCheckpointEachAlgorithmRoundTrips(t *testing.T) {
-	for _, alg := range Algorithms {
+	for _, alg := range allAlgorithms {
 		alg := alg
 		t.Run(alg.String(), func(t *testing.T) {
 			e := mustOpen(t, testParams(t, alg))

@@ -34,10 +34,6 @@ import (
 	"mmdb/internal/storage"
 )
 
-// DefaultHourglassWindow is the old-copy window used when
-// Params.HourglassWindow is zero.
-const DefaultHourglassWindow = 4
-
 // hgPool is the fixed window of preallocated old-copy buffers plus the
 // drain-priority list. Buffers are *storage.OldCopy values with
 // preallocated Data slabs, so attaching an old version on the write path

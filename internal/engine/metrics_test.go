@@ -54,11 +54,11 @@ func TestLastIntervalZeroUntilSecondCheckpoint(t *testing.T) {
 }
 
 // TestStatsConcurrentAllAlgorithms hammers Stats, the metrics Gather,
-// and the span-ring dump while writers and checkpoints run, across all six
+// and the span-ring dump while writers and checkpoints run, across all eight
 // algorithms. Its value is under -race (the race gate runs it): every
 // snapshot path must be safe against the hot-path atomics.
 func TestStatsConcurrentAllAlgorithms(t *testing.T) {
-	for _, alg := range Algorithms {
+	for _, alg := range allAlgorithms {
 		alg := alg
 		t.Run(alg.String(), func(t *testing.T) {
 			e := mustOpen(t, testParams(t, alg))

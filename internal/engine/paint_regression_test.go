@@ -17,7 +17,7 @@ import (
 // run cannot mistake any segment for already-processed, and a full
 // checkpoint accounts for every segment.
 func TestPaintStateConsistentAfterMetaRenameCrash(t *testing.T) {
-	for _, alg := range Algorithms {
+	for _, alg := range allAlgorithms {
 		alg := alg
 		t.Run(alg.String(), func(t *testing.T) {
 			inj := faultfs.New(int64(alg))

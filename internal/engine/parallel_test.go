@@ -10,12 +10,13 @@ import (
 	"testing"
 	"time"
 
+	"mmdb/analytic"
 	"mmdb/internal/lockmgr"
 )
 
-// allAlgorithms is the canonical list — derived, not duplicated, so a new
-// algorithm is swept by the parallel/recovery oracles automatically.
-var allAlgorithms = AllAlgorithms()
+// allAlgorithms is the canonical list — analytic's, not a copy, so a new
+// algorithm is swept by the engine's oracles automatically.
+var allAlgorithms = analytic.Algorithms
 
 // parallelParams is testParams with the parallel checkpoint and recovery
 // pipelines switched on.

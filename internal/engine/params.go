@@ -3,47 +3,26 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
+	"mmdb/analytic"
 	"mmdb/internal/backup"
 	"mmdb/internal/faultfs"
-	"mmdb/internal/simdisk"
 	"mmdb/internal/storage"
 )
 
-// Throttle paces checkpoint segment writes with the paper's disk model
-// (Table 2b): each flushed segment costs the flushing worker one
-// single-device service time, IOTime(S_seg), divided by Speedup. One
-// worker is one synchronous disk stream, and K checkpoint workers are K
-// streams; the paper's fully-overlapped bank of N_bdisks disks is the
-// N_bdisks-stream case. It lets a laptop-scale engine reproduce the
-// paper's checkpoint-duration arithmetic at a manageable time scale.
-type Throttle struct {
-	// Disks is the simulated disk model; its per-request service time
-	// prices each flush.
-	Disks simdisk.Model
-	// Speedup divides the modeled delays (e.g. 1000 runs the modeled
-	// schedule a thousand times faster). Must be >= 1.
-	Speedup float64
-}
-
-// delayPerSegment returns the wall-clock pacing delay for one flushed
-// segment of segBytes, charged to the flushing worker.
-func (th *Throttle) delayPerSegment(segBytes int) time.Duration {
-	d := th.Disks.IOTime(segBytes / simdisk.WordBytes)
-	return time.Duration(float64(d) / th.Speedup)
-}
-
-// validate checks the throttle configuration.
-func (th *Throttle) validate() error {
-	if err := th.Disks.Validate(); err != nil {
-		return err
-	}
-	if th.Speedup < 1 {
-		return fmt.Errorf("engine: throttle speedup %v, want >= 1", th.Speedup)
-	}
-	return nil
+// throttleDelay returns the wall-clock pacing delay for one flushed
+// segment of segBytes at the given speedup: the paper's single-device
+// service time (Table 2b, analytic.Params.SegmentIOTime), T_seek +
+// T_trans·S_seg, divided by speedup. One worker is one synchronous disk
+// stream, so K checkpoint workers are K streams; the paper's
+// fully-overlapped bank of N_bdisks disks is the N_bdisks-stream case.
+func throttleDelay(segBytes int, speedup float64) time.Duration {
+	dp := analytic.DefaultParams()
+	dp.SSeg = float64(segBytes / analytic.WordBytes)
+	return time.Duration(math.Round(dp.SegmentIOTime() / speedup * float64(time.Second)))
 }
 
 // Params configures an Engine.
@@ -107,9 +86,14 @@ type Params struct {
 	// replay logical records, so pass it to Recover as well.
 	Operations map[OpCode]OpFunc
 
-	// CheckpointThrottle, when non-nil, paces checkpoint segment writes
-	// with a simulated disk model (see Throttle).
-	CheckpointThrottle *Throttle
+	// ThrottleSpeedup, when non-zero, paces checkpoint segment writes with
+	// the paper's disk model: each flushed segment costs the worker that
+	// flushes it one device service time divided by ThrottleSpeedup (see
+	// throttleDelay). It lets a laptop-scale engine reproduce the paper's
+	// checkpoint-duration arithmetic at a manageable time scale; 1 runs
+	// in real modeled time. Zero means unthrottled; otherwise it must be
+	// at least 1.
+	ThrottleSpeedup float64
 
 	// DisableLogCompaction keeps the full log on disk. By default the
 	// engine compacts the log head after each checkpoint, dropping records
@@ -138,7 +122,8 @@ type Params struct {
 	// preallocated segment buffers writers may hold old versions in at
 	// once. A writer needing a buffer when all W are in use waits for
 	// the checkpointer to free one. Zero resolves to
-	// DefaultHourglassWindow; ignored by every other algorithm.
+	// analytic.DefaultHourglassWindowSegments; ignored by every other
+	// algorithm.
 	HourglassWindow int
 
 	// SegmentHook, if set, runs after the checkpointer finishes each
@@ -229,7 +214,7 @@ func (p Params) withDefaults() Params {
 		p.RecoveryParallelism = DefaultParallelism()
 	}
 	if p.HourglassWindow == 0 {
-		p.HourglassWindow = DefaultHourglassWindow
+		p.HourglassWindow = analytic.DefaultHourglassWindowSegments
 	}
 	if p.SpanSampleEvery == 0 {
 		p.SpanSampleEvery = DefaultSpanSample
@@ -257,10 +242,8 @@ func (p Params) Validate() error {
 	if p.CheckpointDirtyFraction < 0 || p.CheckpointDirtyFraction > 1 {
 		return errors.New("engine: CheckpointDirtyFraction must be in [0,1]")
 	}
-	if p.CheckpointThrottle != nil {
-		if err := p.CheckpointThrottle.validate(); err != nil {
-			return err
-		}
+	if p.ThrottleSpeedup != 0 && !(p.ThrottleSpeedup >= 1) {
+		return fmt.Errorf("engine: ThrottleSpeedup %v, want 0 (off) or >= 1", p.ThrottleSpeedup)
 	}
 	if p.CheckpointParallelism < 0 {
 		return fmt.Errorf("engine: negative CheckpointParallelism %d", p.CheckpointParallelism)

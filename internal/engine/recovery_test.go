@@ -69,7 +69,7 @@ func TestCrashRecoveryOracle(t *testing.T) {
 		{"full", func(p *Params) { p.Full = true }},
 		{"stable-tail", func(p *Params) { p.StableTail = true }},
 	}
-	for _, alg := range Algorithms {
+	for _, alg := range allAlgorithms {
 		for _, v := range variants {
 			alg, v := alg, v
 			t.Run(fmt.Sprintf("%s/%s", alg, v.name), func(t *testing.T) {
@@ -122,7 +122,7 @@ func TestCrashRecoveryOracle(t *testing.T) {
 // goroutines over disjoint key ranges while the checkpoint loop runs
 // back-to-back, for every algorithm.
 func TestCrashRecoveryConcurrent(t *testing.T) {
-	for _, alg := range Algorithms {
+	for _, alg := range allAlgorithms {
 		alg := alg
 		t.Run(alg.String(), func(t *testing.T) {
 			p := testParams(t, alg)
@@ -233,7 +233,7 @@ func TestRecoveryWithoutCheckpoint(t *testing.T) {
 // sweep; the ping-pong discipline must leave the previous checkpoint
 // usable, and recovery must still reach the oracle via the log.
 func TestMidCheckpointCrashFallsBack(t *testing.T) {
-	for _, alg := range Algorithms {
+	for _, alg := range allAlgorithms {
 		alg := alg
 		t.Run(alg.String(), func(t *testing.T) {
 			crashErr := errors.New("injected crash")
@@ -539,7 +539,7 @@ func TestGracefulCloseThenRecover(t *testing.T) {
 // readers must always see the committed values (and only two-color
 // algorithms may force read retries).
 func TestConcurrentReadersDuringCheckpoints(t *testing.T) {
-	for _, alg := range Algorithms {
+	for _, alg := range allAlgorithms {
 		alg := alg
 		t.Run(alg.String(), func(t *testing.T) {
 			p := testParams(t, alg)

@@ -27,7 +27,7 @@ func TestRandomizedOperationSoak(t *testing.T) {
 
 func soak(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	alg := Algorithms[rng.Intn(len(Algorithms))]
+	alg := allAlgorithms[rng.Intn(len(allAlgorithms))]
 	p := testParams(t, alg)
 	p.Full = rng.Intn(4) == 0
 	if rng.Intn(3) == 0 {

@@ -1,5 +1,5 @@
 // Package detcheck enforces determinism in the simulation and analytic
-// packages (sim, analytic, internal/simdisk): their output backs the
+// packages (sim, analytic): their output backs the
 // paper's Figures 4a–4e and must reproduce bit-for-bit, so they may not
 // consult wall-clock time, the global math/rand source, or emit output
 // in map-iteration order.
@@ -41,7 +41,6 @@ var Analyzer = &analysis.Analyzer{
 var DeterministicPkgs = map[string]bool{
 	"sim":      true,
 	"analytic": true,
-	"simdisk":  true,
 }
 
 // bannedTime are the time functions that read the wall clock.

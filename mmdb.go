@@ -5,8 +5,8 @@
 //
 // The database holds fixed-size records entirely in main memory; for
 // crash recovery it maintains a redo-only log and two ping-pong backup
-// copies on disk, updated continuously by one of six checkpoint
-// algorithms from the paper:
+// copies on disk, updated continuously by one of eight checkpoint
+// algorithms: the paper's six plus two consistent-snapshot extensions.
 //
 //	FUZZYCOPY  fuzzy checkpoints through an I/O buffer with LSN checks
 //	FASTFUZZY  direct fuzzy flushes (requires a stable log tail)
@@ -14,6 +14,8 @@
 //	2CCOPY     Pu's black/white locking, copy then flush
 //	COUFLUSH   copy-on-update snapshots, flush while latched
 //	COUCOPY    copy-on-update snapshots, copy then flush
+//	ZIGZAG     two database images, first writer flips a segment's image
+//	HOURGLASS  copy-on-update through a bounded window of W buffers
 //
 // Typical use:
 //
@@ -302,7 +304,7 @@ func (db *DB) MeasuredCounts() analytic.Counts {
 		ZigzagFlips:        st.ZigzagFlips,
 		Checkpoints:        st.Checkpoints,
 		SegmentsTotal:      uint64(db.NumSegments()),
-		SegmentWords:       float64(cfg.SegmentBytes) / 4,
+		SegmentWords:       float64(cfg.SegmentBytes) / analytic.WordBytes,
 		Algorithm:          db.cfg.Algorithm,
 		Full:               db.cfg.FullCheckpoints,
 		StableTail:         db.cfg.StableLogTail,

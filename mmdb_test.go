@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"mmdb/internal/engine"
+	"mmdb/analytic"
 	"mmdb/workload"
 )
 
@@ -117,29 +117,48 @@ func TestParseAlgorithmAndNames(t *testing.T) {
 	}
 }
 
-// TestAlgorithmListDerivedFromEngine: the public Algorithms list (which the
-// crash matrix, ckptbench -matrix, and the analytic figures all iterate)
-// is derived from the engine's enumeration — every engine algorithm maps
-// to an analytic one with the same paper name, and the mapping through
-// Config round-trips to the same engine value.
-func TestAlgorithmListDerivedFromEngine(t *testing.T) {
-	engAlgs := engine.AllAlgorithms()
-	if len(Algorithms) != len(engAlgs) {
-		t.Fatalf("mmdb.Algorithms has %d entries, engine has %d", len(Algorithms), len(engAlgs))
+// TestAllAlgorithmsIsolated: mmdb.Algorithms is a copy of the one
+// enumeration, so a caller that overwrites it does not change which names
+// the parser accepts.
+func TestAllAlgorithmsIsolated(t *testing.T) {
+	if len(Algorithms) != len(analytic.Algorithms) {
+		t.Fatalf("mmdb.Algorithms has %d entries, analytic has %d", len(Algorithms), len(analytic.Algorithms))
 	}
-	for i, a := range Algorithms {
-		if got, want := a.String(), engAlgs[i].String(); got != want {
-			t.Errorf("Algorithms[%d] = %s, engine lists %s", i, got, want)
+	saved := append([]Algorithm(nil), Algorithms...)
+	defer copy(Algorithms, saved)
+	for i := range Algorithms {
+		Algorithms[i] = Algorithm(99)
+	}
+	for _, a := range saved {
+		if got, err := analytic.Parse(a.String()); err != nil || got != a {
+			t.Errorf("after mutating mmdb.Algorithms, analytic.Parse(%q) = %v, %v", a.String(), got, err)
 		}
+	}
+}
+
+// TestConfigValidateThrottleSpeedup: ThrottleSpeedup alone turns pacing
+// on, and a speedup below 1 is rejected rather than slowing the modeled
+// disk down.
+func TestConfigValidateThrottleSpeedup(t *testing.T) {
+	for _, c := range []struct {
+		speedup float64
+		ok      bool
+	}{
+		{0, true}, {1, true}, {20, true}, {0.5, false}, {-1, false},
+	} {
 		cfg := Config{Dir: t.TempDir(), NumRecords: 16, RecordBytes: 8,
-			Algorithm: a, StableLogTail: a == FastFuzzy}
-		p, err := cfg.engineParams()
-		if err != nil {
-			t.Errorf("%v: engineParams: %v", a, err)
+			Algorithm: COUCopy, ThrottleSpeedup: c.speedup}
+		err := cfg.Validate()
+		if (err == nil) != c.ok {
+			t.Errorf("ThrottleSpeedup %v: Validate = %v, want ok=%v", c.speedup, err, c.ok)
 			continue
 		}
-		if p.Algorithm != engAlgs[i] {
-			t.Errorf("%v maps to engine %v, want %v", a, p.Algorithm, engAlgs[i])
+		if !c.ok {
+			continue
+		}
+		p, err := cfg.engineParams()
+		if err != nil || p.ThrottleSpeedup != c.speedup {
+			t.Errorf("ThrottleSpeedup %v reaches the engine as %v (%v)", c.speedup, p.ThrottleSpeedup, err)
 		}
 	}
 }
