@@ -100,7 +100,7 @@ lint-concurrency: mmdblint
 # allow-failure CI job instead.
 lint-perf: mmdblint
 	$(GO) vet -vettool=$(abspath $(MMDBLINT)) -alloccheck ./...
-	$(GO) test -run 'TestRepo|Allocation' ./lint/alloccheck/ ./internal/engine/ ./internal/wal/ ./kvstore/
+	$(GO) test -run 'TestRepo|Allocation' ./lint/alloccheck/ ./internal/engine/ ./internal/wal/ ./internal/backup/ ./kvstore/
 
 # ./... covers examples/ too — the example programs are held to the same
 # invariants as the engine.

@@ -414,11 +414,49 @@ func BenchmarkCompactionAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkRecovery measures crash recovery of the live engine: load the
-// backup copy and replay the log tail.
-func BenchmarkRecovery(b *testing.B) {
+// BenchmarkRecover measures crash recovery of the live engine — load the
+// backup copy, then one read of the log tail with redo — at three tail
+// sizes: small (500 transactions), medium (4,000, the repo benchmark's
+// stress-ckpt tail) and large (32,000; skipped under -short). Each
+// transaction updates up to five 128-byte records. It reports replayed
+// redo records per second of recovery and the MB of log scanned.
+func BenchmarkRecover(b *testing.B) {
+	for _, tier := range []struct {
+		name string
+		tail int
+	}{{"small", 500}, {"medium", 4000}, {"large", 32000}} {
+		b.Run(tier.name, func(b *testing.B) {
+			if tier.tail > 4000 && testing.Short() {
+				b.Skip("skipping the large log tail in short mode")
+			}
+			cfg := recoverSetup(b, tier.tail)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var rep *RecoveryReport
+			for i := 0; i < b.N; i++ {
+				db, r, err := Recover(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rep = r
+				b.StopTimer()
+				if err := db.Crash(); err != nil { // leave the files for the next iteration
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(rep.UpdatesApplied)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+			b.ReportMetric(float64(rep.LogBytesRead)/1e6, "log-MB")
+		})
+	}
+}
+
+// recoverSetup builds a database for BenchmarkRecover: 500 transactions,
+// a checkpoint, then tail more transactions, closed so the whole tail is
+// durable and recovery replays all of it.
+func recoverSetup(b *testing.B, tail int) Config {
+	b.Helper()
 	cfg := benchConfig(b, COUCopy)
-	cfg.SyncCommit = true
 	db, err := Open(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -427,56 +465,29 @@ func BenchmarkRecovery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for t := 0; t < 500; t++ {
-		spec := gen.Next()
-		err := db.Exec(func(tx *Txn) error {
-			for _, u := range spec.Updates {
-				if err := tx.Write(u.Record, u.Value); err != nil {
-					return err
+	run := func(n int) {
+		for t := 0; t < n; t++ {
+			spec := gen.Next()
+			err := db.Exec(func(tx *Txn) error {
+				for _, u := range spec.Updates {
+					if err := tx.Write(u.Record, u.Value); err != nil {
+						return err
+					}
 				}
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
 			}
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
 		}
 	}
+	run(500)
 	if _, err := db.Checkpoint(); err != nil {
 		b.Fatal(err)
 	}
-	for t := 0; t < 500; t++ { // log tail to replay
-		spec := gen.Next()
-		err := db.Exec(func(tx *Txn) error {
-			for _, u := range spec.Updates {
-				if err := tx.Write(u.Record, u.Value); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := db.Crash(); err != nil {
+	run(tail)
+	if err := db.Close(); err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	var rep *RecoveryReport
-	for i := 0; i < b.N; i++ {
-		db2, r, err := Recover(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep = r
-		b.StopTimer()
-		if err := db2.Crash(); err != nil { // leave the files for the next iteration
-			b.Fatal(err)
-		}
-		b.StartTimer()
-	}
-	if rep != nil {
-		b.ReportMetric(float64(rep.UpdatesApplied), "updates-replayed")
-		b.ReportMetric(float64(rep.SegmentsLoaded), "segs-loaded")
-	}
+	return cfg
 }

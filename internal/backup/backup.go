@@ -320,10 +320,16 @@ func (s *FileStore) FinishCheckpoint(copyIdx int, endLSN wal.LSN, segmentsWritte
 	return s.writeMeta()
 }
 
+// ReadBuffer returns a segment buffer whose spare capacity holds the slot
+// trailer, so ReadSegment reads the whole slot into it with one read and
+// no allocation.
+func (s *FileStore) ReadBuffer() []byte { return make([]byte, s.segmentBytes, s.slotBytes) }
+
 // ReadSegment reads segment idx of copyIdx into dst (segmentBytes long).
 // It returns the ID of the checkpoint that wrote the slot; 0 means the
 // slot was never written and dst is zero-filled (the initial database
-// state).
+// state). The slot's trailer lands in dst's spare capacity when there is
+// room (a ReadBuffer), else in a slot buffer allocated for the call.
 func (s *FileStore) ReadSegment(copyIdx, idx int, dst []byte) (writtenBy uint64, err error) {
 	if copyIdx < 0 || copyIdx >= storage.NumBackupCopies {
 		return 0, fmt.Errorf("backup: copy %d out of range", copyIdx)
@@ -334,7 +340,12 @@ func (s *FileStore) ReadSegment(copyIdx, idx int, dst []byte) (writtenBy uint64,
 	if len(dst) != s.segmentBytes {
 		return 0, fmt.Errorf("backup: segment %d read size %d, want %d", idx, len(dst), s.segmentBytes)
 	}
-	buf := make([]byte, s.slotBytes)
+	inPlace := cap(dst) >= s.slotBytes
+	buf := dst[:cap(dst)]
+	if !inPlace {
+		buf = make([]byte, s.slotBytes)
+	}
+	buf = buf[:s.slotBytes]
 	if _, err := s.files[copyIdx].ReadAt(buf, int64(idx)*int64(s.slotBytes)); err != nil {
 		return 0, fmt.Errorf("backup: read segment %d copy %d: %w", idx, copyIdx, err)
 	}
@@ -349,7 +360,9 @@ func (s *FileStore) ReadSegment(copyIdx, idx int, dst []byte) (writtenBy uint64,
 	if crc32.Checksum(buf[:s.segmentBytes], crcTable) != binary.LittleEndian.Uint32(buf[s.segmentBytes:]) {
 		return writtenBy, fmt.Errorf("%w: segment %d copy %d", ErrBadSegment, idx, copyIdx)
 	}
-	copy(dst, buf[:s.segmentBytes])
+	if !inPlace {
+		copy(dst, buf)
+	}
 	s.segReads.Add(1)
 	return writtenBy, nil
 }
@@ -357,7 +370,7 @@ func (s *FileStore) ReadSegment(copyIdx, idx int, dst []byte) (writtenBy uint64,
 // ReadAll streams every segment of copyIdx through fn in index order,
 // re-using one buffer. fn must not retain data.
 func (s *FileStore) ReadAll(copyIdx int, fn func(idx int, writtenBy uint64, data []byte) error) error {
-	buf := make([]byte, s.segmentBytes)
+	buf := s.ReadBuffer()
 	for i := 0; i < s.numSegments; i++ {
 		writtenBy, err := s.ReadSegment(copyIdx, i, buf)
 		if err != nil {

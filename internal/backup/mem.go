@@ -180,6 +180,9 @@ func (s *MemStore) FinishCheckpoint(copyIdx int, endLSN wal.LSN, segmentsWritten
 	return nil
 }
 
+// ReadBuffer returns a segment buffer; MemStore reads need no scratch.
+func (s *MemStore) ReadBuffer() []byte { return make([]byte, s.segmentBytes) }
+
 // ReadSegment reads segment idx of copyIdx into dst.
 //
 // lockorder:acquires MemStore.mu
@@ -222,7 +225,7 @@ func (s *MemStore) bumpReads() {
 
 // ReadAll streams every segment of copyIdx through fn in index order.
 func (s *MemStore) ReadAll(copyIdx int, fn func(idx int, writtenBy uint64, data []byte) error) error {
-	buf := make([]byte, s.segmentBytes)
+	buf := s.ReadBuffer()
 	for i := 0; i < s.numSegments; i++ {
 		writtenBy, err := s.ReadSegment(copyIdx, i, buf)
 		if err != nil {

@@ -50,8 +50,12 @@ type Store interface {
 
 	// ReadSegment reads segment idx of copyIdx into dst (SegmentBytes
 	// long), returning the writing checkpoint's ID (0 = unwritten,
-	// dst zero-filled).
+	// dst zero-filled). Like append, it may use dst's spare capacity,
+	// dst[len(dst):cap(dst)], as scratch.
 	ReadSegment(copyIdx, idx int, dst []byte) (writtenBy uint64, err error)
+	// ReadBuffer returns a SegmentBytes-long buffer with the spare
+	// capacity ReadSegment needs to read into it without allocating.
+	ReadBuffer() []byte
 	// ReadAll streams every segment of copyIdx through fn in index
 	// order, reusing one buffer; fn must not retain data.
 	ReadAll(copyIdx int, fn func(idx int, writtenBy uint64, data []byte) error) error

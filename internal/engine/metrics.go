@@ -101,16 +101,16 @@ func newEngineObs(spanSample int) *engineObs {
 		ckptBatchH: reg.Histogram("mmdb_ckpt_worker_batch_segments",
 			"Segments handed out per checkpoint batch.", obs.ScaleNone),
 		recApplyH: reg.Histogram("mmdb_recovery_apply_worker_seconds",
-			"Per-worker wall time in the partitioned redo-apply phase.", obs.ScaleNanosToSeconds),
+			"Per-worker wall time of a partitioned redo worker, from the start of the log pass to its drain.", obs.ScaleNanosToSeconds),
 		recApplyRecsH: reg.Histogram("mmdb_recovery_apply_records",
 			"Redo records applied per partitioned apply worker.", obs.ScaleNone),
 
 		recBackupLoad: reg.Gauge("mmdb_recovery_backup_load_seconds",
 			"Recovery phase: reading the backup copy into primary memory."),
 		recLogScan: reg.Gauge("mmdb_recovery_log_scan_seconds",
-			"Recovery phase: locating the log end and the committed set."),
+			"Recovery phase: the one log pass (read, decode, dispatch committed updates to the redo workers)."),
 		recRedoApply: reg.Gauge("mmdb_recovery_redo_apply_seconds",
-			"Recovery phase: applying committed after-images."),
+			"Recovery phase: draining the redo workers after the log pass."),
 		recTotal: reg.Gauge("mmdb_recovery_total_seconds",
 			"Total wall-clock recovery duration."),
 

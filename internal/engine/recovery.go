@@ -67,6 +67,10 @@ type RecoveryReport struct {
 	// RedoApplyTime plus setup. These are the measured counterparts of
 	// the paper's recovery-time model (backup read time + log read time);
 	// the same values are exposed as mmdb_recovery_*_seconds gauges.
+	// BackupLoadTime is the striped backup read. LogScanTime is the one
+	// log pass: read, decode, hold and dispatch committed updates, with
+	// the redo workers applying concurrently. RedoApplyTime is the drain
+	// of the redo workers after the pass, plus the torn-tail truncation.
 	BackupLoadTime time.Duration
 	LogScanTime    time.Duration
 	RedoApplyTime  time.Duration
@@ -74,9 +78,9 @@ type RecoveryReport struct {
 
 // Recover rebuilds the primary database from the backup store and the log
 // (Section 3.3): it reads the most recent complete backup copy into main
-// memory, then scans the log forward from the checkpoint's scan-start
-// position, applying the after-images of committed transactions in log
-// order. It returns a running engine.
+// memory, then reads the log once, forward, applying the after-images of
+// committed transactions from the checkpoint's scan-start position in
+// commit order. It returns a running engine.
 //
 // ctxcheck:root(no-ctx convenience wrapper; RecoverContext is the cancellable form)
 func Recover(p Params) (*Engine, *RecoveryReport, error) {
@@ -144,7 +148,7 @@ func RecoverContext(ctx context.Context, p Params) (*Engine, *RecoveryReport, er
 	phaseBegan := time.Now()
 	writtenBy := make([]uint64, st.NumSegments())
 	if rep.UsedCheckpoint {
-		err = loadBackupStriped(ctx, bs, st, copyIdx, par, p.Storage.SegmentBytes, writtenBy, rep)
+		err = loadBackupStriped(ctx, bs, st, copyIdx, par, writtenBy, rep)
 		if err != nil {
 			return nil, nil, fmt.Errorf("engine: recovery: load backup copy %d: %w", copyIdx, err)
 		}
@@ -153,9 +157,9 @@ func RecoverContext(ctx context.Context, p Params) (*Engine, *RecoveryReport, er
 	eo.spans.End(loadSpan)
 	eo.recBackupLoad.Set(rep.BackupLoadTime.Seconds())
 
-	// Scan the log. Pass 1 finds committed transactions; pass 2 applies
-	// their after-images in log order (record-level X locks held to commit
-	// make per-record log order match commit order, so last-in-log wins).
+	// Read the log in one forward pass from its base (scanLog). The redo
+	// workers apply committed updates while it reads; LogScanTime is the
+	// pass, RedoApplyTime the drain of the workers after it.
 	scanSpan := eo.spans.Begin(obs.SpanRecLogScan, recSpan, 0, 0)
 	phaseBegan = time.Now()
 	logPath := filepath.Join(p.Dir, logFileName)
@@ -179,85 +183,37 @@ func RecoverContext(ctx context.Context, p Params) (*Engine, *RecoveryReport, er
 			return nil, nil, err
 		}
 	}
-	// Walk the whole surviving log once: find the intact end and the
-	// highest transaction ID ever used. The re-opened engine must issue
-	// IDs above every ID still visible in the log — otherwise a new
-	// committed transaction could share an ID with an old aborted one,
-	// and a later recovery would replay the aborted redo records as
-	// committed.
-	var maxTxnID uint64
-	validEnd := reader.Base()
-	err = reader.Scan(reader.Base(), func(e wal.Entry) error {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		validEnd = e.Next
-		if e.Rec.TxnID > maxTxnID {
-			maxTxnID = e.Rec.TxnID
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, errors.Join(fmt.Errorf("engine: recovery: locate log end: %w", err), reader.Close())
-	}
-	rep.LogEndLSN = validEnd
-
-	if rep.UsedCheckpoint {
-		// Fidelity cross-check of the paper's backward scan: the
-		// begin-checkpoint marker for the recovered checkpoint must exist
-		// in the durable log and agree with the backup metadata.
-		marker, merr := reader.FindCheckpoint(validEnd, info.ID)
-		if merr != nil {
-			return nil, nil, errors.Join(fmt.Errorf("engine: recovery: %w", merr), reader.Close())
-		}
-		if marker.LSN != info.BeginLSN || marker.ScanStart != info.ScanStartLSN {
-			return nil, nil, errors.Join(
-				fmt.Errorf("engine: recovery: marker/metadata mismatch: marker at %d (scan %d), metadata says %d (scan %d)",
-					marker.LSN, marker.ScanStart, info.BeginLSN, info.ScanStartLSN),
-				reader.Close())
-		}
-	}
-
-	committed := make(map[uint64]bool)
-	err = reader.Scan(rep.ScanStartLSN, func(e wal.Entry) error {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		rep.RecordsScanned++
-		rep.LogBytesRead += e.Next.Sub(e.LSN)
-		if e.Rec.Type == wal.TypeCommit {
-			committed[e.Rec.TxnID] = true
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, errors.Join(fmt.Errorf("engine: recovery: commit scan: %w", err), reader.Close())
-	}
-	rep.TxnsReplayed = len(committed)
-	rep.LogScanTime = time.Since(phaseBegan)
-	eo.spans.End(scanSpan)
-	eo.recLogScan.Set(rep.LogScanTime.Seconds())
-	redoSpan := eo.spans.Begin(obs.SpanRecRedoApply, recSpan, 0, 0)
-	phaseBegan = time.Now()
-
 	// Operation registry for logical redo (built-ins plus custom ops the
 	// caller supplied; they must match the writing engine's).
 	ops := builtinOps()
 	for code, fn := range p.Operations {
 		ops[code] = fn
 	}
-
 	touched := make([]bool, st.NumSegments())
+	rd := startRedo(st, ops, par, p.Storage.RecordBytes, touched, eo)
+	var ck *backup.CheckpointInfo
+	if rep.UsedCheckpoint {
+		ck = &info
+	}
+	maxTxnID, validEnd, err := scanLog(ctx, reader, ck, rd, rep)
+	rep.LogScanTime = time.Since(phaseBegan)
+	eo.spans.End(scanSpan)
+	eo.recLogScan.Set(rep.LogScanTime.Seconds())
+
+	redoSpan := eo.spans.Begin(obs.SpanRecRedoApply, recSpan, 0, 0)
+	phaseBegan = time.Now()
+	if werr := rd.finish(rep); err == nil {
+		err = werr
+	}
 	truncateAt := reader.FileOffset(validEnd)
-	err = applyRedoPartitioned(ctx, reader, st, ops, committed, par,
-		p.Storage.RecordBytes, touched, rep, eo)
 	cerr := reader.Close()
 	if err != nil {
-		return nil, nil, errors.Join(fmt.Errorf("engine: recovery: redo: %w", err), cerr)
+		return nil, nil, errors.Join(fmt.Errorf("engine: recovery: %w", err), cerr)
 	}
 	if cerr != nil {
 		return nil, nil, fmt.Errorf("engine: recovery: close log reader: %w", cerr)
 	}
+	rep.LogEndLSN = validEnd
 
 	// Discard the torn tail so the re-opened log appends cleanly. Only
 	// ever shrink: on a zero-byte log (created but never written) the
@@ -326,41 +282,12 @@ func RecoverContext(ctx context.Context, p Params) (*Engine, *RecoveryReport, er
 	return e, rep, nil
 }
 
-// applyRedoRecord applies one committed redo record — a physical
-// after-image or a logical operation — to the store, using recBuf as the
-// logical-op scratch buffer. It reports whether the record was logical.
-func applyRedoRecord(st *storage.Store, ops map[OpCode]OpFunc, rec *wal.Record, recBuf []byte) (logical bool, err error) {
-	switch rec.Type {
-	case wal.TypeUpdate:
-		if aerr := st.WriteRecordRaw(rec.RecordID, rec.Data); aerr != nil {
-			return false, fmt.Errorf("apply update of record %d: %w", rec.RecordID, aerr)
-		}
-	case wal.TypeLogicalUpdate:
-		fn := ops[OpCode(rec.OpCode)]
-		if fn == nil {
-			return false, fmt.Errorf("replay logical update of record %d: %w (code %d); pass the operation in Params.Operations",
-				rec.RecordID, ErrUnknownOperation, rec.OpCode)
-		}
-		if aerr := st.ReadRecord(rec.RecordID, recBuf); aerr != nil {
-			return false, fmt.Errorf("replay logical update of record %d: %w", rec.RecordID, aerr)
-		}
-		if aerr := fn(recBuf, rec.Data); aerr != nil {
-			return false, fmt.Errorf("replay logical update of record %d: %w", rec.RecordID, aerr)
-		}
-		if aerr := st.WriteRecordRaw(rec.RecordID, recBuf); aerr != nil {
-			return false, fmt.Errorf("replay logical update of record %d: %w", rec.RecordID, aerr)
-		}
-		return true, nil
-	}
-	return false, nil
-}
-
 // loadBackupStriped reads the backup copy with one reader goroutine per
 // contiguous segment stripe (DESIGN.md §15). Stripes are disjoint, each
 // reader owns its buffer, and LoadSegment targets distinct segments, so
 // the loaded image is byte-identical at any stripe count. One stripe
 // reads on the calling goroutine (fanOut).
-func loadBackupStriped(ctx context.Context, bs backup.Store, st *storage.Store, copyIdx, par, segBytes int, writtenBy []uint64, rep *RecoveryReport) error {
+func loadBackupStriped(ctx context.Context, bs backup.Store, st *storage.Store, copyIdx, par int, writtenBy []uint64, rep *RecoveryReport) error {
 	n := st.NumSegments()
 	stripes := min(par, n)
 	type stripeResult struct {
@@ -371,7 +298,7 @@ func loadBackupStriped(ctx context.Context, bs backup.Store, st *storage.Store, 
 	res := make([]stripeResult, stripes)
 	fanOut(stripes, func(s int) {
 		lo, hi := s*n/stripes, (s+1)*n/stripes
-		buf := make([]byte, segBytes)
+		buf := bs.ReadBuffer()
 		r := &res[s]
 		for i := lo; i < hi; i++ {
 			// Cancellation point between segments, never mid-segment: a
@@ -391,7 +318,7 @@ func loadBackupStriped(ctx context.Context, bs backup.Store, st *storage.Store, 
 				continue
 			}
 			r.loaded++
-			r.bytes += int64(segBytes)
+			r.bytes += int64(len(buf))
 			if err := st.LoadSegment(i, buf); err != nil {
 				r.err = err
 				return
@@ -408,84 +335,293 @@ func loadBackupStriped(ctx context.Context, bs backup.Store, st *storage.Store, 
 	return nil
 }
 
-// applyRedoPartitioned is the redo phase (DESIGN.md §15): the log is
-// scanned exactly once by this goroutine, which filters for committed
-// updates and routes each to a worker chosen by segment range. All
-// records of one segment reach the same worker in log order, so
-// last-in-log-wins per record is preserved and the applied image is
-// byte-identical at any worker count. Workers that hit an error keep
-// draining their channel (recording only the first), so the scanner never
-// blocks on a full channel of a dead worker.
-func applyRedoPartitioned(ctx context.Context, reader *wal.Reader, st *storage.Store, ops map[OpCode]OpFunc,
-	committed map[uint64]bool, par, recordBytes int, touched []bool,
-	rep *RecoveryReport, eo *engineObs) error {
+// scanLog is the log half of recovery (DESIGN.md §15.2): one forward
+// pass over the whole surviving log from its base. Over the whole log it
+// tracks the highest transaction ID (the re-opened engine must issue IDs
+// above every ID still visible, or a new committed transaction could share
+// an ID with an old aborted one and a later recovery would replay the
+// aborted records) and the intact end. From the checkpoint's scan start it
+// holds each transaction's updates until its commit record, then hands
+// them to the redo workers; updates of aborted transactions, and of
+// transactions with no commit before the torn tail, are discarded.
+// Record X locks are held to commit, so commit order equals per-record
+// log order and last-in-log still wins. When recovering from a
+// checkpoint (ck non-nil), the record at ck.BeginLSN must be that
+// checkpoint's begin marker and agree with the metadata on the scan
+// start — the forward form of the paper's backward scan to the marker.
+func scanLog(ctx context.Context, reader *wal.Reader, ck *backup.CheckpointInfo, rd *redo, rep *RecoveryReport) (maxTxnID uint64, validEnd wal.LSN, err error) {
+	start := rep.ScanStartLSN
+	validEnd = reader.Base()
+	if start.Before(validEnd) {
+		return 0, validEnd, fmt.Errorf("log scan from %d: %w (base %d)", start, wal.ErrCompacted, validEnd)
+	}
+	pending := make(map[uint64]*redoBuf)
+	var spare []*redoBuf
+	markerSeen := false
+	err = reader.Scan(reader.Base(), func(e wal.Entry) error {
+		if cerr := ctx.Err(); cerr != nil {
+			return cerr
+		}
+		validEnd = e.Next
+		rec := e.Rec
+		maxTxnID = max(maxTxnID, rec.TxnID)
+		if ck != nil && !markerSeen && ck.BeginLSN.Before(e.Next) {
+			if e.LSN != ck.BeginLSN || rec.Type != wal.TypeBeginCheckpoint || rec.CheckpointID != ck.ID {
+				return fmt.Errorf("no begin-checkpoint marker for checkpoint %d at LSN %d (record there: %v of checkpoint %d at %d)",
+					ck.ID, ck.BeginLSN, rec.Type, rec.CheckpointID, e.LSN)
+			}
+			if ms := markerScanStart(e); ms != ck.ScanStartLSN {
+				return fmt.Errorf("marker/metadata mismatch: marker at %d (scan %d), metadata says %d (scan %d)",
+					e.LSN, ms, ck.BeginLSN, ck.ScanStartLSN)
+			}
+			markerSeen = true
+		}
+		if e.LSN.Before(start) {
+			if start.Before(e.Next) {
+				return fmt.Errorf("scan start %d falls inside the record at %d", start, e.LSN)
+			}
+			return nil
+		}
+		rep.RecordsScanned++
+		rep.LogBytesRead += e.Next.Sub(e.LSN)
+		switch rec.Type {
+		case wal.TypeUpdate, wal.TypeLogicalUpdate:
+			b := pending[rec.TxnID]
+			if b == nil {
+				if n := len(spare); n > 0 {
+					b, spare = spare[n-1], spare[:n-1]
+				} else {
+					b = new(redoBuf)
+				}
+				pending[rec.TxnID] = b
+			}
+			b.add(rec.Type, rec.OpCode, rec.RecordID, rec.Data)
+		case wal.TypeCommit:
+			rep.TxnsReplayed++
+			if b := pending[rec.TxnID]; b != nil {
+				rd.dispatch(b)
+				delete(pending, rec.TxnID)
+				b.reset()
+				spare = append(spare, b)
+			}
+		case wal.TypeAbort:
+			if b := pending[rec.TxnID]; b != nil {
+				rep.UpdatesDiscarded += len(b.recs)
+				delete(pending, rec.TxnID)
+				b.reset()
+				spare = append(spare, b)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return maxTxnID, validEnd, fmt.Errorf("log scan: %w", err)
+	}
+	if ck != nil && !markerSeen {
+		return maxTxnID, validEnd, fmt.Errorf("begin-checkpoint marker for checkpoint %d (LSN %d) not in the intact log [%d,%d)",
+			ck.ID, ck.BeginLSN, reader.Base(), validEnd)
+	}
+	for _, b := range pending {
+		rep.UpdatesDiscarded += len(b.recs)
+	}
+	return maxTxnID, validEnd, nil
+}
+
+// markerScanStart is where a forward redo scan must begin for the
+// begin-checkpoint marker e: the marker itself, or the first LSN of the
+// oldest transaction active when the checkpoint began, if earlier.
+func markerScanStart(e wal.Entry) wal.LSN {
+	s := e.LSN
+	for _, at := range e.Rec.ActiveTxns {
+		s = wal.MinLSN(s, at.FirstLSN)
+	}
+	return s
+}
+
+// redoRec is one held redo record: the update's fields, with its after
+// image or operand at data[off:off+n] of the buffer holding it.
+type redoRec struct {
+	typ      wal.RecordType
+	op       uint16
+	recordID uint64
+	off, n   int
+}
+
+// redoBuf is a run of held redo records and their bytes, copied out of
+// the log reader's reused decode buffer: a pending transaction's updates,
+// or a batch bound for one redo worker. Both are recycled, so a recovery
+// allocates them only until the high-water mark of transactions in flight.
+type redoBuf struct {
+	recs []redoRec
+	data []byte
+}
+
+func (b *redoBuf) add(typ wal.RecordType, op uint16, recordID uint64, data []byte) {
+	b.recs = append(b.recs, redoRec{typ: typ, op: op, recordID: recordID, off: len(b.data), n: len(data)})
+	b.data = append(b.data, data...)
+}
+
+// bytes returns rr's after image or operand.
+func (b *redoBuf) bytes(rr redoRec) []byte { return b.data[rr.off : rr.off+rr.n] }
+
+func (b *redoBuf) reset() {
+	b.recs = b.recs[:0]
+	b.data = b.data[:0]
+}
+
+// redoBatchRecords is how many records the scanner gathers for one
+// worker before handing the batch over.
+const redoBatchRecords = 256
+
+// redo is the partitioned redo apply (DESIGN.md §15): the scanner routes
+// each committed update to the worker owning its segment range, in batches
+// of redoBatchRecords. All records of one segment reach the same worker in
+// dispatch order, so the applied image is byte-identical at any worker
+// count. Workers that hit an error keep draining their channel (recording
+// only the first), so the scanner never blocks on a full channel of a
+// dead worker; cancellation is the scanner's, and closing the channels in
+// finish lets the workers drain and exit.
+type redo struct {
+	st      *storage.Store
+	n       int
+	batches []*redoBuf        // per worker, being filled
+	chans   []chan *redoBuf   // per worker, filled batches
+	free    chan *redoBuf     // applied batches, back to the scanner
+	res     []redoWorkerStats // per worker, read after wg.Wait
+	wg      sync.WaitGroup
+}
+
+type redoWorkerStats struct {
+	applied, logical int
+	err              error
+}
+
+// startRedo starts min(par, segments) redo workers.
+func startRedo(st *storage.Store, ops map[OpCode]OpFunc, par, recordBytes int, touched []bool, eo *engineObs) *redo {
 	n := st.NumSegments()
 	workers := min(par, n)
-	type applyResult struct {
-		applied, logical int
-		err              error
+	// Each worker's channel queues two batches, so the scanner fills the
+	// next while the worker applies one with one more waiting. A worker
+	// thus has at most four batches in circulation (filling, two queued,
+	// applying), and free holds them all, so a returned batch is never
+	// dropped.
+	rd := &redo{
+		st:      st,
+		n:       n,
+		batches: make([]*redoBuf, workers),
+		chans:   make([]chan *redoBuf, workers),
+		free:    make(chan *redoBuf, 4*workers),
+		res:     make([]redoWorkerStats, workers),
 	}
-	res := make([]applyResult, workers)
-	chans := make([]chan *wal.Record, workers)
-	for w := range chans {
-		chans[w] = make(chan *wal.Record, 256)
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	rd.wg.Add(workers)
+	for w := range workers {
+		rd.batches[w] = new(redoBuf)
+		rd.chans[w] = make(chan *redoBuf, 2)
+		// goleak:joins finish closes the channels and waits on rd.wg
 		go func(w int) {
-			defer wg.Done()
+			defer rd.wg.Done()
 			began := time.Now()
 			recBuf := make([]byte, recordBytes)
-			r := &res[w]
-			for rec := range chans[w] {
-				if r.err != nil {
-					continue
+			r := &rd.res[w]
+			for b := range rd.chans[w] {
+				for _, rr := range b.recs {
+					if r.err != nil {
+						break
+					}
+					logical, err := applyRedoRecord(st, ops, rr, b.bytes(rr), recBuf)
+					if err != nil {
+						r.err = err
+						break
+					}
+					if logical {
+						r.logical++
+					}
+					touched[st.SegmentIndexOf(rr.recordID)] = true
+					r.applied++
 				}
-				logical, err := applyRedoRecord(st, ops, rec, recBuf)
-				if err != nil {
-					r.err = err
-					continue
+				b.reset()
+				select {
+				case rd.free <- b:
+				default:
 				}
-				if logical {
-					r.logical++
-				}
-				touched[st.SegmentIndexOf(rec.RecordID)] = true
-				r.applied++
 			}
 			eo.recApplyH.ObserveSince(began)
 			eo.recApplyRecsH.Observe(uint64(r.applied))
 		}(w)
 	}
-	// The scanner is the only cancellation point: it stops routing and
-	// the closed channels below let the workers drain and exit, so
-	// cancellation keeps the normal join discipline.
-	scanErr := reader.Scan(rep.ScanStartLSN, func(e wal.Entry) error {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		switch e.Rec.Type {
-		case wal.TypeUpdate, wal.TypeLogicalUpdate:
-			if !committed[e.Rec.TxnID] {
-				rep.UpdatesDiscarded++
-				return nil
+	return rd
+}
+
+// dispatch routes a committed transaction's updates to their workers.
+func (rd *redo) dispatch(txn *redoBuf) {
+	workers := len(rd.batches)
+	// ctxcheck:exempt(the workers drain their channels unconditionally, so a send waits only for batches already queued; the scanner checks ctx between records)
+	for _, rr := range txn.recs {
+		w := rd.st.SegmentIndexOf(rr.recordID) * workers / rd.n
+		b := rd.batches[w]
+		b.add(rr.typ, rr.op, rr.recordID, txn.bytes(rr))
+		if len(b.recs) >= redoBatchRecords {
+			rd.chans[w] <- b
+			select {
+			case rd.batches[w] = <-rd.free:
+			default:
+				rd.batches[w] = new(redoBuf)
 			}
-			// The reader allocates a fresh Record per entry, so e.Rec can
-			// cross the channel without copying.
-			chans[st.SegmentIndexOf(e.Rec.RecordID)*workers/n] <- e.Rec
 		}
-		return nil
-	})
-	for _, ch := range chans {
+	}
+}
+
+// finish hands over the partial batches, waits for the workers to drain,
+// and adds their counts to rep. It returns the first worker error.
+func (rd *redo) finish(rep *RecoveryReport) error {
+	// ctxcheck:exempt(the join is mandatory: the workers drain their channels unconditionally and exit once they are closed)
+	for w, ch := range rd.chans {
+		if len(rd.batches[w].recs) > 0 {
+			ch <- rd.batches[w]
+		}
 		close(ch)
 	}
-	wg.Wait()
-	for w := range res {
-		rep.UpdatesApplied += res[w].applied
-		rep.LogicalReplayed += res[w].logical
-		if scanErr == nil && res[w].err != nil {
-			scanErr = res[w].err
+	rd.wg.Wait()
+	var err error
+	for w := range rd.res {
+		rep.UpdatesApplied += rd.res[w].applied
+		rep.LogicalReplayed += rd.res[w].logical
+		if err == nil {
+			err = rd.res[w].err
 		}
 	}
-	return scanErr
+	if err != nil {
+		return fmt.Errorf("redo: %w", err)
+	}
+	return nil
+}
+
+// applyRedoRecord applies one committed redo record — a physical
+// after-image or a logical operation with operand data — to the store,
+// using recBuf as the logical-op scratch buffer. It reports whether the
+// record was logical.
+func applyRedoRecord(st *storage.Store, ops map[OpCode]OpFunc, rr redoRec, data, recBuf []byte) (logical bool, err error) {
+	switch rr.typ {
+	case wal.TypeUpdate:
+		if aerr := st.WriteRecordRaw(rr.recordID, data); aerr != nil {
+			return false, fmt.Errorf("apply update of record %d: %w", rr.recordID, aerr)
+		}
+	case wal.TypeLogicalUpdate:
+		fn := ops[OpCode(rr.op)]
+		if fn == nil {
+			return false, fmt.Errorf("replay logical update of record %d: %w (code %d); pass the operation in Params.Operations",
+				rr.recordID, ErrUnknownOperation, rr.op)
+		}
+		if aerr := st.ReadRecord(rr.recordID, recBuf); aerr != nil {
+			return false, fmt.Errorf("replay logical update of record %d: %w", rr.recordID, aerr)
+		}
+		if aerr := fn(recBuf, data); aerr != nil {
+			return false, fmt.Errorf("replay logical update of record %d: %w", rr.recordID, aerr)
+		}
+		if aerr := st.WriteRecordRaw(rr.recordID, recBuf); aerr != nil {
+			return false, fmt.Errorf("replay logical update of record %d: %w", rr.recordID, aerr)
+		}
+		return true, nil
+	}
+	return false, nil
 }

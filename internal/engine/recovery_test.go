@@ -1,15 +1,18 @@
 package engine
 
 import (
-	"os"
-	"path/filepath"
-
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
-	"mmdb/internal/backup"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
+
+	"mmdb/internal/backup"
+	"mmdb/internal/wal"
 )
 
 // applyWorkload runs n transactions of 1–5 uniform record updates each
@@ -728,4 +731,344 @@ func TestRepeatedCrashRecoverCycles(t *testing.T) {
 		verifyOracle(t, e, oracle)
 	}
 	e.Close()
+}
+
+// maxLogTxnID returns the highest transaction ID in the intact log at dir.
+func maxLogTxnID(t *testing.T, dir string) uint64 {
+	t.Helper()
+	r, err := wal.OpenReader(filepath.Join(dir, logFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var maxID uint64
+	if err := r.Scan(r.Base(), func(e wal.Entry) error {
+		maxID = max(maxID, e.Rec.TxnID)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return maxID
+}
+
+// TestTxnIDsNotReusedAfterOlderCopyRecovery extends
+// TestTxnIDsNotReusedAcrossRecovery to recovery from the older ping-pong
+// copy. Checkpoint 3 dies mid-sweep, so recovery falls back to
+// checkpoint 2, and every transaction ID in the log — including that of
+// an aborted transaction, the highest — precedes checkpoint 2's scan
+// start. Recovery reads the log from its base, so the next transaction
+// must still get an ID above all of them, and a later recovery must not
+// replay that transaction's aborted write.
+func TestTxnIDsNotReusedAfterOlderCopyRecovery(t *testing.T) {
+	for _, alg := range allAlgorithms {
+		t.Run(alg.String(), func(t *testing.T) {
+			crashErr := errors.New("injected crash")
+			p := testParams(t, alg)
+			hookArmed, segsDone := false, 0
+			p.SegmentHook = func(_ uint64, _, _ int) error {
+				if hookArmed {
+					if segsDone++; segsDone >= 3 {
+						return crashErr
+					}
+				}
+				return nil
+			}
+			e := mustOpen(t, p)
+			rng := rand.New(rand.NewSource(int64(alg) + 40))
+			oracle := make(map[uint64]uint64)
+			applyWorkload(t, e, rng, 40, oracle)
+			if _, err := e.Checkpoint(); err != nil { // checkpoint 1 → copy 0
+				t.Fatal(err)
+			}
+			applyWorkload(t, e, rng, 40, oracle)
+			tx, err := e.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Write(2, encVal(555)); err != nil {
+				t.Fatal(err)
+			}
+			tx.Abort()
+			abortedID := tx.ID()
+			if _, err := e.Checkpoint(); err != nil { // checkpoint 2 → copy 1
+				t.Fatal(err)
+			}
+			hookArmed = true
+			if _, err := e.Checkpoint(); !errors.Is(err, crashErr) { // checkpoint 3 → copy 0, dies
+				t.Fatalf("checkpoint 3 error = %v, want injected crash", err)
+			}
+			if err := e.Crash(); err != nil {
+				t.Fatal(err)
+			}
+			logMax := maxLogTxnID(t, p.Dir)
+			if logMax != abortedID {
+				t.Fatalf("highest txn ID in log = %d, want the aborted transaction's %d", logMax, abortedID)
+			}
+
+			p.SegmentHook = nil
+			e2, rep, err := Recover(p)
+			if err != nil {
+				t.Fatalf("Recover: %v", err)
+			}
+			if rep.CheckpointID != 2 || rep.UsedCopy != 1 {
+				t.Fatalf("recovered from checkpoint %d copy %d, want 2/1", rep.CheckpointID, rep.UsedCopy)
+			}
+			if rep.TxnsReplayed != 0 || rep.UpdatesApplied != 0 {
+				t.Fatalf("replayed %d txns / %d updates; every transaction precedes the scan start",
+					rep.TxnsReplayed, rep.UpdatesApplied)
+			}
+			tx2, err := e2.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tx2.ID() <= logMax {
+				t.Fatalf("post-recovery transaction got ID %d, not above the log's highest %d", tx2.ID(), logMax)
+			}
+			if err := tx2.Write(1, encVal(666)); err != nil {
+				t.Fatal(err)
+			}
+			if err := e2.log.Flush(); err != nil { // make the aborted redo durable
+				t.Fatal(err)
+			}
+			tx2.Abort()
+			if err := e2.Crash(); err != nil {
+				t.Fatal(err)
+			}
+			e3, _, err := Recover(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e3.Close()
+			verifyOracle(t, e3, oracle)
+		})
+	}
+}
+
+// TestTornTailCutsUncommittedTxn tears the log inside the commit record
+// of the last transaction: its updates are intact in the log but it never
+// committed, so recovery replays exactly the transactions before it and
+// counts its updates as discarded.
+func TestTornTailCutsUncommittedTxn(t *testing.T) {
+	for _, alg := range allAlgorithms {
+		t.Run(alg.String(), func(t *testing.T) {
+			p := testParams(t, alg)
+			e := mustOpen(t, p)
+			rng := rand.New(rand.NewSource(int64(alg) + 50))
+			oracle := make(map[uint64]uint64)
+			applyWorkload(t, e, rng, 30, oracle)
+			if _, err := e.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			// Five committed transactions of three updates each, then a
+			// sixth whose commit record the crash will tear.
+			const committed, perTxn = 5, 3
+			for i := 0; i < committed+1; i++ {
+				err := e.Exec(func(tx *Txn) error {
+					for j := 0; j < perTxn; j++ {
+						rid := uint64(8*(i*perTxn+j)) % uint64(e.NumRecords())
+						if err := tx.Write(rid, encVal(uint64(1000*i+j+1))); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i < committed {
+					for j := 0; j < perTxn; j++ {
+						oracle[uint64(8*(i*perTxn+j))%uint64(e.NumRecords())] = uint64(1000*i + j + 1)
+					}
+				}
+			}
+			if err := e.Crash(); err != nil {
+				t.Fatal(err)
+			}
+			// Cut the file three bytes into the last commit record's frame.
+			logPath := filepath.Join(p.Dir, logFileName)
+			r, err := wal.OpenReader(logPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var lastCommit wal.LSN
+			if err := r.Scan(r.Base(), func(e wal.Entry) error {
+				if e.Rec.Type == wal.TypeCommit {
+					lastCommit = e.LSN
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			cut := r.FileOffset(lastCommit) + 3
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(logPath, cut); err != nil {
+				t.Fatal(err)
+			}
+
+			e2, rep, err := Recover(p)
+			if err != nil {
+				t.Fatalf("Recover: %v", err)
+			}
+			defer e2.Close()
+			if rep.TxnsReplayed != committed || rep.UpdatesApplied != committed*perTxn || rep.UpdatesDiscarded != perTxn {
+				t.Errorf("TxnsReplayed/UpdatesApplied/UpdatesDiscarded = %d/%d/%d, want %d/%d/%d",
+					rep.TxnsReplayed, rep.UpdatesApplied, rep.UpdatesDiscarded, committed, committed*perTxn, perTxn)
+			}
+			if rep.TornTailBytes != 3 {
+				t.Errorf("TornTailBytes = %d, want 3", rep.TornTailBytes)
+			}
+			if rep.LogEndLSN != lastCommit {
+				t.Errorf("LogEndLSN = %d, want the torn commit record's LSN %d", rep.LogEndLSN, lastCommit)
+			}
+			verifyOracle(t, e2, oracle)
+		})
+	}
+}
+
+// TestRecoveryChecksBeginMarker: the forward scan cross-checks the
+// begin-checkpoint marker against the backup metadata, and recovery
+// fails when the marker is missing from the intact log or disagrees.
+func TestRecoveryChecksBeginMarker(t *testing.T) {
+	// damage is what a case does to the crashed database: info is the
+	// recovered copy's metadata and next the LSN of the record after its
+	// begin-checkpoint marker.
+	type damage func(t *testing.T, dir string, info backup.CheckpointInfo, copyIdx int, next wal.LSN)
+	// editMeta sets one field of the recovered copy's metadata.
+	editMeta := func(field string, val func(info backup.CheckpointInfo, next wal.LSN) wal.LSN) damage {
+		return func(t *testing.T, dir string, info backup.CheckpointInfo, copyIdx int, next wal.LSN) {
+			path := filepath.Join(dir, "backup.meta")
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var meta map[string]any
+			if err := json.Unmarshal(raw, &meta); err != nil {
+				t.Fatal(err)
+			}
+			meta["copies"].([]any)[copyIdx].(map[string]any)[field] = val(info, next)
+			if raw, err = json.Marshal(meta); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cases := []struct {
+		name   string
+		damage damage
+	}{
+		// The marker is where the metadata says, but its scan start is
+		// not.
+		{"scan-start-mismatch", editMeta("scan_start_lsn", func(_ backup.CheckpointInfo, next wal.LSN) wal.LSN { return next })},
+		// The metadata points at the record after the marker.
+		{"begin-lsn-elsewhere", editMeta("begin_lsn", func(_ backup.CheckpointInfo, next wal.LSN) wal.LSN { return next })},
+		// No marker of this checkpoint is in the log.
+		{"unknown-checkpoint-id", editMeta("id", func(backup.CheckpointInfo, wal.LSN) wal.LSN { return 99 })},
+		// The marker is torn off with the log tail.
+		{"marker-torn-away", func(t *testing.T, dir string, info backup.CheckpointInfo, _ int, _ wal.LSN) {
+			r, err := wal.OpenReader(filepath.Join(dir, logFileName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cut := r.FileOffset(info.BeginLSN) + 5
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(filepath.Join(dir, logFileName), cut); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, alg := range allAlgorithms {
+		for _, tc := range cases {
+			t.Run(alg.String()+"/"+tc.name, func(t *testing.T) {
+				p := testParams(t, alg)
+				e := mustOpen(t, p)
+				rng := rand.New(rand.NewSource(int64(alg) + 60))
+				applyWorkload(t, e, rng, 20, map[uint64]uint64{})
+				if _, err := e.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				applyWorkload(t, e, rng, 10, map[uint64]uint64{})
+				if err := e.Crash(); err != nil {
+					t.Fatal(err)
+				}
+				bs, err := backup.Open(p.Dir, e.NumSegments(), p.Storage.SegmentBytes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				copyIdx, info, err := bs.Latest()
+				if cerr := bs.Close(); err != nil || cerr != nil {
+					t.Fatal(err, cerr)
+				}
+				r, err := wal.OpenReader(filepath.Join(p.Dir, logFileName))
+				if err != nil {
+					t.Fatal(err)
+				}
+				next := wal.NilLSN
+				if err := r.Scan(info.BeginLSN, func(e wal.Entry) error {
+					if e.LSN != info.BeginLSN && next == wal.NilLSN {
+						next = e.LSN
+					}
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if next == wal.NilLSN {
+					t.Fatal("no log record after the checkpoint marker")
+				}
+				tc.damage(t, p.Dir, info, copyIdx, next)
+				e2, _, err := Recover(p)
+				if err == nil {
+					e2.Close()
+					t.Fatal("recovery succeeded despite a missing or mismatched begin-checkpoint marker")
+				}
+				if !strings.Contains(err.Error(), "marker") {
+					t.Errorf("recovery error %q does not name the marker", err)
+				}
+			})
+		}
+	}
+}
+
+// TestRecoveryPhasesReconcile: the three timed recovery phases are
+// disjoint and sequential, so together they never exceed Elapsed.
+func TestRecoveryPhasesReconcile(t *testing.T) {
+	for _, alg := range allAlgorithms {
+		t.Run(alg.String(), func(t *testing.T) {
+			p := testParams(t, alg)
+			p.RecoveryParallelism = 4
+			e := mustOpen(t, p)
+			rng := rand.New(rand.NewSource(int64(alg) + 70))
+			oracle := make(map[uint64]uint64)
+			applyWorkload(t, e, rng, 40, oracle)
+			if _, err := e.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			applyWorkload(t, e, rng, 40, oracle)
+			if err := e.Crash(); err != nil {
+				t.Fatal(err)
+			}
+			e2, rep, err := Recover(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e2.Close()
+			verifyOracle(t, e2, oracle)
+			phases := rep.BackupLoadTime + rep.LogScanTime + rep.RedoApplyTime
+			if rep.BackupLoadTime <= 0 || rep.LogScanTime <= 0 || rep.RedoApplyTime <= 0 {
+				t.Errorf("a phase was not timed: load %v scan %v redo %v", rep.BackupLoadTime, rep.LogScanTime, rep.RedoApplyTime)
+			}
+			if phases > rep.Elapsed {
+				t.Errorf("load %v + scan %v + redo %v = %v > Elapsed %v",
+					rep.BackupLoadTime, rep.LogScanTime, rep.RedoApplyTime, phases, rep.Elapsed)
+			}
+		})
+	}
 }

@@ -172,7 +172,9 @@ func Verify(dir string) (*VerifyResult, error) {
 // IterateLog streams valid log records from LSN from (clamped up to the
 // compacted base), stopping after limit records when limit > 0. fn may
 // stop early by returning a non-nil error, which is swallowed if it is
-// ErrStopIteration and propagated otherwise.
+// ErrStopIteration and propagated otherwise. As with wal.Reader.Scan, the
+// entry's record and its Data are reused for the next record: fn must
+// copy what it keeps.
 func IterateLog(dir string, from wal.LSN, limit int, fn func(wal.Entry) error) (int, error) {
 	r, err := wal.OpenReader(filepath.Join(dir, logFileName))
 	if err != nil {

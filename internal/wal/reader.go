@@ -7,15 +7,27 @@ import (
 	"os"
 )
 
-// Reader scans a closed log file. It supports the two access patterns of
-// the paper's recovery procedure (Section 3.3): a backward scan to locate
-// the most recent begin-checkpoint marker, and a forward scan that replays
-// redo records.
+// Reader scans a closed log file forward, the log half of the paper's
+// recovery procedure (Section 3.3). It reads through a read-ahead window
+// of readAheadBytes, refilled with one read per window rather than one
+// per record, and decodes every record into one reused Record. A Reader
+// is not safe for concurrent scans.
 type Reader struct {
 	f    *os.File
 	base LSN // LSN at file offset fileHeaderSize
 	end  LSN // LSN just past the last byte in the file
+
+	// win holds the log bytes [winLSN, winLSN+len(win)).
+	win    []byte
+	winLSN LSN
+	// rec is the decode target Scan reuses for every record.
+	rec Record
 }
+
+// readAheadBytes is the read-ahead window: large enough that a scan
+// issues one read per thousand or so typical redo records, small enough
+// to stay in cache. A record larger than the window grows it to fit.
+const readAheadBytes = 256 << 10
 
 // ErrCompacted reports an attempt to read records that head compaction
 // has dropped from the log file.
@@ -94,49 +106,76 @@ func (r *Reader) SectionReader(from, to LSN) (*io.SectionReader, error) {
 	return io.NewSectionReader(r.f, r.FileOffset(from), int64(to-from)), nil
 }
 
-// readAt reads and decodes the record starting at lsn. It returns the
-// record and the LSN of the following record.
-func (r *Reader) readAt(lsn LSN) (*Record, LSN, error) {
+// window returns the log bytes [lsn, lsn+n), refilling the read-ahead
+// window from lsn when they are not all in it. The caller has checked
+// that lsn+n does not pass the end of the file; a file that shrank since
+// OpenReader reads as a torn tail.
+func (r *Reader) window(lsn LSN, n int) ([]byte, error) {
+	if lsn >= r.winLSN && lsn+LSN(n) <= r.winLSN+LSN(len(r.win)) {
+		off := int(lsn - r.winLSN)
+		return r.win[off : off+n], nil
+	}
+	want := readAheadBytes
+	if rest := r.end - lsn; LSN(want) > rest {
+		want = int(rest)
+	}
+	want = max(want, n)
+	if cap(r.win) < want {
+		r.win = make([]byte, want)
+	}
+	k, err := r.f.ReadAt(r.win[:want], r.FileOffset(lsn))
+	r.win, r.winLSN = r.win[:k], lsn
+	if k < n {
+		if err == nil || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return nil, ErrTruncated
+		}
+		return nil, err
+	}
+	return r.win[:n], nil
+}
+
+// decodeAt decodes the record starting at lsn into r.rec and returns the
+// LSN of the following record.
+func (r *Reader) decodeAt(lsn LSN) (LSN, error) {
 	if lsn < r.base {
-		return nil, 0, fmt.Errorf("%w: lsn %d < base %d", ErrCompacted, lsn, r.base)
+		return 0, fmt.Errorf("%w: lsn %d < base %d", ErrCompacted, lsn, r.base)
 	}
 	if lsn >= r.end {
-		return nil, 0, io.EOF
+		return 0, io.EOF
 	}
-	var hdr [headerSize]byte
-	if _, err := r.f.ReadAt(hdr[:], r.FileOffset(lsn)); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			// Fewer than headerSize bytes remain: the frame was cut off
-			// mid-header by a torn tail.
-			return nil, 0, ErrTruncated
-		}
-		return nil, 0, err
+	if r.end-lsn < headerSize {
+		// The frame was cut off mid-header by a torn tail.
+		return 0, ErrTruncated
+	}
+	hdr, err := r.window(lsn, headerSize)
+	if err != nil {
+		return 0, err
 	}
 	plen := int(uint32(hdr[0]) | uint32(hdr[1])<<8 | uint32(hdr[2])<<16 | uint32(hdr[3])<<24)
 	if plen <= 0 || plen > MaxPayload {
-		return nil, 0, ErrCorrupt
+		return 0, ErrCorrupt
 	}
 	total := headerSize + plen + trailerSize
 	if lsn+LSN(total) > r.end {
 		// The header is plausible but the frame runs past the end of the
 		// file: the tail of the record was lost, not scribbled on.
-		return nil, 0, ErrTruncated
+		return 0, ErrTruncated
 	}
-	buf := make([]byte, total)
-	if _, err := r.f.ReadAt(buf, r.FileOffset(lsn)); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, 0, ErrTruncated
-		}
-		return nil, 0, err
-	}
-	rec, n, err := decodeFrom(buf)
+	frame, err := r.window(lsn, total)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	return rec, lsn + LSN(n), nil
+	n, err := decodeFrom(frame, &r.rec)
+	if err != nil {
+		return 0, err
+	}
+	return lsn + LSN(n), nil
 }
 
-// Entry pairs a decoded record with its position in the log.
+// Entry pairs a decoded record with its position in the log. Rec is the
+// reader's reused decode target: it and the bytes it points at are valid
+// only during the scan callback, so a callback that keeps a record must
+// copy it.
 type Entry struct {
 	LSN  LSN
 	Next LSN
@@ -146,7 +185,8 @@ type Entry struct {
 // Scan invokes fn for each valid record from start in log order. Scanning
 // stops at the first torn or corrupt record (the tail lost in a crash) or
 // at end of file; neither is an error. fn may stop the scan early by
-// returning a non-nil error, which Scan returns unchanged.
+// returning a non-nil error, which Scan returns unchanged. The Entry's
+// Rec is reused for the next record: fn must copy what it keeps.
 func (r *Reader) Scan(start LSN, fn func(Entry) error) error {
 	_, _, err := r.ScanTail(start, fn) //nolint:errcheckwal // the discarded terminal reason is a classification, not an error; err is returned
 	return err
@@ -161,7 +201,7 @@ func (r *Reader) Scan(start LSN, fn func(Entry) error) error {
 func (r *Reader) ScanTail(start LSN, fn func(Entry) error) (end LSN, terminal error, err error) {
 	lsn := start
 	for {
-		rec, next, rerr := r.readAt(lsn)
+		next, rerr := r.decodeAt(lsn)
 		switch {
 		case rerr == nil:
 		case errors.Is(rerr, io.EOF), errors.Is(rerr, ErrTruncated), errors.Is(rerr, ErrCorrupt):
@@ -170,7 +210,7 @@ func (r *Reader) ScanTail(start LSN, fn func(Entry) error) (end LSN, terminal er
 			return lsn, rerr, rerr
 		}
 		if fn != nil {
-			if ferr := fn(Entry{LSN: lsn, Next: next, Rec: rec}); ferr != nil {
+			if ferr := fn(Entry{LSN: lsn, Next: next, Rec: &r.rec}); ferr != nil {
 				return lsn, nil, ferr
 			}
 		}
@@ -178,63 +218,8 @@ func (r *Reader) ScanTail(start LSN, fn func(Entry) error) (end LSN, terminal er
 	}
 }
 
-// readBackFrom decodes the record that ends exactly at end, using the
-// trailing length copy in the frame.
-func (r *Reader) readBackFrom(end LSN) (Entry, error) {
-	if end < r.base+headerSize+trailerSize {
-		return Entry{}, ErrCorrupt
-	}
-	var tb [trailerSize]byte
-	if _, err := r.f.ReadAt(tb[:], r.FileOffset(end)-trailerSize); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			// Backward scans must run over the intact prefix; a read past
-			// the file end means the caller's end LSN was bad.
-			return Entry{}, fmt.Errorf("%w: backward read past end of file", ErrCorrupt)
-		}
-		return Entry{}, err
-	}
-	plen := int(uint32(tb[0]) | uint32(tb[1])<<8 | uint32(tb[2])<<16 | uint32(tb[3])<<24)
-	if plen <= 0 || plen > MaxPayload {
-		return Entry{}, ErrCorrupt
-	}
-	total := LSN(headerSize + plen + trailerSize)
-	if end < r.base+total {
-		return Entry{}, ErrCorrupt
-	}
-	start := end - total
-	rec, next, err := r.readAt(start)
-	if err != nil {
-		return Entry{}, err
-	}
-	if next != end {
-		return Entry{}, ErrCorrupt
-	}
-	return Entry{LSN: start, Next: end, Rec: rec}, nil
-}
-
-// ScanBackward invokes fn for each valid record strictly before end, in
-// reverse log order, starting with the record that ends at end. The log
-// must be intact over the scanned range (backward scans run over the
-// durable prefix located by ValidEnd). fn stops the scan by returning a
-// non-nil error, which is returned unchanged.
-func (r *Reader) ScanBackward(end LSN, fn func(Entry) error) error {
-	at := end
-	for at > r.base {
-		e, err := r.readBackFrom(at)
-		if err != nil {
-			return err
-		}
-		if err := fn(e); err != nil {
-			return err
-		}
-		at = e.LSN
-	}
-	return nil
-}
-
 // ValidEnd scans forward from start and returns the LSN just past the last
-// valid record — the end of the intact log prefix. Recovery uses it to
-// bound the backward scan and to position the re-opened log for appends.
+// valid record — the end of the intact log prefix.
 func (r *Reader) ValidEnd(start LSN) (LSN, error) {
 	end := start
 	err := r.Scan(start, func(e Entry) error {
@@ -242,100 +227,4 @@ func (r *Reader) ValidEnd(start LSN) (LSN, error) {
 		return nil
 	})
 	return end, err
-}
-
-// CheckpointMarker describes a begin-checkpoint record found in the log.
-type CheckpointMarker struct {
-	LSN          LSN
-	CheckpointID uint64
-	Timestamp    uint64
-	TargetCopy   uint8
-	Algorithm    uint8
-	ActiveTxns   []ActiveTxn
-	// ScanStart is the LSN at which a forward redo scan must begin: the
-	// marker itself, or the first LSN of the oldest transaction that was
-	// active when the checkpoint began, whichever is smaller.
-	ScanStart LSN
-}
-
-// scanStart computes the redo scan start for a marker entry.
-func scanStart(e Entry) LSN {
-	s := e.LSN
-	for _, at := range e.Rec.ActiveTxns {
-		if at.FirstLSN != NilLSN && at.FirstLSN < s {
-			s = at.FirstLSN
-		}
-	}
-	return s
-}
-
-// FindCheckpoint scans backward from end for the begin-checkpoint marker
-// of the checkpoint with the given ID. This implements the paper's
-// backward scan: "the log must be scanned backwards until the
-// begin-checkpoint marker of the most recently completed checkpoint is
-// found". The ID of that checkpoint comes from the backup metadata (or
-// from end-checkpoint markers; see FindLastCompleted).
-func (r *Reader) FindCheckpoint(end LSN, checkpointID uint64) (*CheckpointMarker, error) {
-	var found *CheckpointMarker
-	stop := errors.New("stop")
-	err := r.ScanBackward(end, func(e Entry) error {
-		if e.Rec.Type == TypeBeginCheckpoint && e.Rec.CheckpointID == checkpointID {
-			found = &CheckpointMarker{
-				LSN:          e.LSN,
-				CheckpointID: e.Rec.CheckpointID,
-				Timestamp:    e.Rec.Timestamp,
-				TargetCopy:   e.Rec.TargetCopy,
-				Algorithm:    e.Rec.Algorithm,
-				ActiveTxns:   e.Rec.ActiveTxns,
-				ScanStart:    scanStart(e),
-			}
-			return stop
-		}
-		return nil
-	})
-	if err != nil && !errors.Is(err, stop) {
-		return nil, err
-	}
-	if found == nil {
-		return nil, fmt.Errorf("wal: begin-checkpoint marker for checkpoint %d not found", checkpointID)
-	}
-	return found, nil
-}
-
-// FindLastCompleted scans backward from end for the most recent checkpoint
-// that has both its end-checkpoint and begin-checkpoint markers in the
-// log. It implements the paper's alternative to explicit backup metadata:
-// "placing explicit end-checkpoint markers in the log during normal
-// operation".
-func (r *Reader) FindLastCompleted(end LSN) (*CheckpointMarker, error) {
-	var found *CheckpointMarker
-	completed := make(map[uint64]bool)
-	stop := errors.New("stop")
-	err := r.ScanBackward(end, func(e Entry) error {
-		switch e.Rec.Type {
-		case TypeEndCheckpoint:
-			completed[e.Rec.CheckpointID] = true
-		case TypeBeginCheckpoint:
-			if completed[e.Rec.CheckpointID] {
-				found = &CheckpointMarker{
-					LSN:          e.LSN,
-					CheckpointID: e.Rec.CheckpointID,
-					Timestamp:    e.Rec.Timestamp,
-					TargetCopy:   e.Rec.TargetCopy,
-					Algorithm:    e.Rec.Algorithm,
-					ActiveTxns:   e.Rec.ActiveTxns,
-					ScanStart:    scanStart(e),
-				}
-				return stop
-			}
-		}
-		return nil
-	})
-	if err != nil && !errors.Is(err, stop) {
-		return nil, err
-	}
-	if found == nil {
-		return nil, errors.New("wal: no completed checkpoint in log")
-	}
-	return found, nil
 }

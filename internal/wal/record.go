@@ -88,6 +88,9 @@ type ActiveTxn struct {
 }
 
 // Record is a decoded log record. Fields are populated according to Type.
+// The Record a Reader's Scan hands out is reused for every record and its
+// Data aliases the reader's read-ahead window, so it is valid only until
+// the scan callback returns.
 type Record struct {
 	Type RecordType
 
@@ -112,10 +115,10 @@ type Record struct {
 //
 //	[payloadLen u32][crc32(payload) u32][payload][payloadLen u32]
 //
-// The trailing length copy permits backward scans (used to locate the most
-// recent begin-checkpoint marker, as the paper's recovery procedure
-// describes). The record's LSN is the offset of its first byte; the header
-// and trailer add headerSize+trailerSize bytes of framing.
+// The trailing length copy is checked against the header on every decode,
+// and keeps the frame walkable backwards. The record's LSN is the offset
+// of its first byte; the header and trailer add headerSize+trailerSize
+// bytes of framing.
 const (
 	headerSize  = 8
 	trailerSize = 4
@@ -235,12 +238,15 @@ func appendEncoded(dst []byte, r *Record) ([]byte, error) {
 	return dst, nil
 }
 
-// decodePayload decodes a verified payload into r.
+// decodePayload decodes a verified payload into r, overwriting every
+// field. r.Data aliases payload, and r.ActiveTxns reuses its own backing
+// array, so decoding into a reused Record allocates nothing once the
+// largest active-transaction list has been seen.
 func decodePayload(payload []byte, r *Record) error {
 	if len(payload) < 1 {
 		return ErrCorrupt
 	}
-	r.Type = RecordType(payload[0])
+	*r = Record{Type: RecordType(payload[0]), ActiveTxns: r.ActiveTxns[:0]}
 	b := payload[1:]
 	need := func(n int) bool { return len(b) >= n }
 	switch r.Type {
@@ -255,7 +261,7 @@ func decodePayload(payload []byte, r *Record) error {
 		if len(b) != dlen {
 			return ErrCorrupt
 		}
-		r.Data = append([]byte(nil), b...)
+		r.Data = b
 	case TypeLogicalUpdate:
 		if !need(22) {
 			return ErrCorrupt
@@ -268,7 +274,7 @@ func decodePayload(payload []byte, r *Record) error {
 		if len(b) != dlen {
 			return ErrCorrupt
 		}
-		r.Data = append([]byte(nil), b...)
+		r.Data = b
 	case TypeCommit, TypeAbort:
 		if !need(8) {
 			return ErrCorrupt
@@ -287,10 +293,11 @@ func decodePayload(payload []byte, r *Record) error {
 		if len(b) != n*16 {
 			return ErrCorrupt
 		}
-		r.ActiveTxns = make([]ActiveTxn, n)
 		for i := 0; i < n; i++ {
-			r.ActiveTxns[i].TxnID = binary.LittleEndian.Uint64(b[i*16:])
-			r.ActiveTxns[i].FirstLSN = LSN(binary.LittleEndian.Uint64(b[i*16+8:]))
+			r.ActiveTxns = append(r.ActiveTxns, ActiveTxn{
+				TxnID:    binary.LittleEndian.Uint64(b[i*16:]),
+				FirstLSN: LSN(binary.LittleEndian.Uint64(b[i*16+8:])),
+			})
 		}
 	case TypeEndCheckpoint:
 		if !need(9) {
@@ -304,31 +311,31 @@ func decodePayload(payload []byte, r *Record) error {
 	return nil
 }
 
-// decodeFrom decodes the record starting at buf[0] and returns the record
-// and its total framed length. buf may extend past the record.
-func decodeFrom(buf []byte) (*Record, int, error) {
+// decodeFrom decodes the record starting at buf[0] into r and returns its
+// total framed length. buf may extend past the record. r's byte fields
+// alias buf (see decodePayload).
+func decodeFrom(buf []byte, r *Record) (int, error) {
 	if len(buf) < headerSize {
-		return nil, 0, ErrCorrupt
+		return 0, ErrCorrupt
 	}
 	plen := int(binary.LittleEndian.Uint32(buf))
 	if plen <= 0 || plen > MaxPayload {
-		return nil, 0, ErrCorrupt
+		return 0, ErrCorrupt
 	}
 	total := headerSize + plen + trailerSize
 	if len(buf) < total {
-		return nil, 0, ErrCorrupt
+		return 0, ErrCorrupt
 	}
 	wantCRC := binary.LittleEndian.Uint32(buf[4:])
 	payload := buf[headerSize : headerSize+plen]
 	if crc32.Checksum(payload, crcTable) != wantCRC {
-		return nil, 0, ErrCorrupt
+		return 0, ErrCorrupt
 	}
 	if tl := int(binary.LittleEndian.Uint32(buf[headerSize+plen:])); tl != plen {
-		return nil, 0, ErrCorrupt
+		return 0, ErrCorrupt
 	}
-	r := new(Record)
 	if err := decodePayload(payload, r); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	return r, total, nil
+	return total, nil
 }

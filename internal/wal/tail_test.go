@@ -172,23 +172,3 @@ func TestOpenReaderTornHeader(t *testing.T) {
 		t.Fatalf("corrupt header: OpenReader = %v, want ErrBadHeader", err)
 	}
 }
-
-// TestScanBackwardPastEnd is the regression test for the raw-io.EOF leak:
-// a backward scan started past the physical end of the file used to
-// return bare io.EOF (which callers interpret as a clean stop). It must
-// be a typed corruption error.
-func TestScanBackwardPastEnd(t *testing.T) {
-	path, end := buildLog(t, 2)
-	r, err := OpenReader(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	err = r.ScanBackward(end+100, func(Entry) error { return nil })
-	if err == nil || errors.Is(err, io.EOF) {
-		t.Fatalf("ScanBackward past end = %v, want a typed error, not io.EOF/nil", err)
-	}
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("ScanBackward past end = %v, want ErrCorrupt", err)
-	}
-}
